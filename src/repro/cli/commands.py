@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+from itertools import product
 
 import numpy as np
 
@@ -29,8 +30,9 @@ from ..config import (
     moon_scheduler_config,
 )
 from ..core import hadoop_system, moon_system
-from ..experiments import ablations, current_scale, fig1, fig4, fig6, fig7
+from ..experiments import ablations, fig1, fig4, fig6, fig7
 from ..plotting import bar_chart, histogram
+from ..service import AUTOSCALE_POLICIES, PREEMPT_MODES, QUEUE_POLICIES
 from ..traces import (
     CorrelatedConfig,
     compute_stats,
@@ -57,22 +59,23 @@ _APPS = {"sort": "sort", "wordcount": "word count"}
 # ======================================================================
 # Observability / JSON-report plumbing
 # ======================================================================
-def _make_obs(args):
+def _make_obs(args, **forced):
     """An :class:`~repro.obs.Observability` when any flight-recorder
-    flag was passed; None keeps obs entirely off (the default, which
-    is byte-identical to a build without the obs layer)."""
-    if args.trace_out is None and args.metrics_out is None:
+    flag was passed or a command forces ObsConfig fields on (explain's
+    tracer, profile's profiler); None keeps obs entirely off (the
+    default, which is byte-identical to a build without the obs
+    layer)."""
+    if not forced and args.trace_out is None and args.metrics_out is None:
         return None
     from ..obs import Observability, ObsConfig
 
-    return Observability(
-        ObsConfig(
-            trace=args.trace_out is not None,
-            trace_out=args.trace_out,
-            metrics_out=args.metrics_out,
-            max_trace_events=args.max_trace_events,
-        )
+    fields = dict(
+        trace=args.trace_out is not None,
+        trace_out=args.trace_out,
+        metrics_out=args.metrics_out,
+        max_trace_events=args.max_trace_events,
     )
+    return Observability(ObsConfig(**{**fields, **forced}))
 
 
 def _export_obs(obs) -> None:
@@ -83,15 +86,23 @@ def _export_obs(obs) -> None:
         log.info("wrote %s", path)
 
 
+def _write_json(path, payload, what: str) -> None:
+    """Write a versioned JSON artifact (``--json``); log what went where."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    log.info("wrote %s to %s", what, path)
+
+
 def _write_reports_json(path, reports) -> None:
     """Write serve/replay reports as versioned JSON (``--json``)."""
     from ..service import REPORT_SCHEMA_VERSION
 
-    payload = {"schema_version": REPORT_SCHEMA_VERSION, "reports": reports}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    log.info("wrote %d report(s) to %s", len(reports), path)
+    _write_json(
+        path,
+        {"schema_version": REPORT_SCHEMA_VERSION, "reports": reports},
+        f"{len(reports)} report(s)",
+    )
 
 
 def _apps(choice: str):
@@ -110,31 +121,27 @@ def cmd_fig1(args) -> int:
     return 0
 
 
-def cmd_fig4(args) -> int:
-    """Figures 4+5: scheduling-policy comparison (and duplicates)."""
+def _per_app(args, run, report) -> int:
+    """Run and print one figure panel per --app application."""
     for app in _apps(args.app):
-        data = fig4.run(app)
-        print(fig4.report(app, data))
+        print(report(app, run(app)))
         print()
     return 0
+
+
+def cmd_fig4(args) -> int:
+    """Figures 4+5: scheduling-policy comparison (and duplicates)."""
+    return _per_app(args, fig4.run, fig4.report)
 
 
 def cmd_fig6(args) -> int:
     """Figure 6: intermediate-data replication policies."""
-    for app in _apps(args.app):
-        data = fig6.run(app)
-        print(fig6.report(app, data))
-        print()
-    return 0
+    return _per_app(args, fig6.run, fig6.report)
 
 
 def cmd_fig7(args) -> int:
     """Figure 7: overall MOON vs augmented Hadoop."""
-    for app in _apps(args.app):
-        data = fig7.run(app)
-        print(fig7.report(app, data))
-        print()
-    return 0
+    return _per_app(args, fig7.run, fig7.report)
 
 
 def cmd_table1(args) -> int:
@@ -151,25 +158,19 @@ def cmd_table1(args) -> int:
 
 def cmd_table2(args) -> int:
     """Table II: execution profiles at 0.5 unavailability."""
-    for app in _apps(args.app):
-        profiles = fig6.table2(app)
-        print(fig6.report_table2(app, profiles))
-        print()
-    return 0
+    return _per_app(args, fig6.table2, fig6.report_table2)
 
 
 def cmd_ablations(args) -> int:
     """Network / two-phase / LATE ablation sweeps."""
-    which = args.which
-    if which in ("network", "all"):
-        print(ablations.report_network(ablations.run_network_ablation()))
-        print()
-    if which in ("twophase", "all"):
-        print(ablations.report_twophase(ablations.run_twophase_sweep()))
-        print()
-    if which in ("late", "all"):
-        print(ablations.report_late(ablations.run_late_ablation()))
-        print()
+    for which, run, report in (
+        ("network", ablations.run_network_ablation, ablations.report_network),
+        ("twophase", ablations.run_twophase_sweep, ablations.report_twophase),
+        ("late", ablations.run_late_ablation, ablations.report_late),
+    ):
+        if args.which in (which, "all"):
+            print(report(run()))
+            print()
     return 0
 
 
@@ -224,7 +225,7 @@ def cmd_run(args) -> int:
 
 
 # ======================================================================
-# serve
+# serve / replay / explain: one cell loop over RunSpecs
 # ======================================================================
 #: Serve-flag defaults by mode: the autoscale demonstration needs a
 #: regime where tier *capacity* (not the admission bound) limits the
@@ -251,101 +252,40 @@ def _resolve_serve_defaults(args) -> None:
             setattr(args, flag, autoscale if scaled else normal)
 
 
-#: Overall summary columns (ServiceReport.summary_row) and the
-#: autoscale cost / preemption extensions (cost_row / preempt_row),
-#: shared by the serve and replay comparison tables.
-_SUMMARY_COLS = ["done", "p50 s", "p95 s", "p99 s", "miss", "good/h",
-                 "fairness"]
-_COST_COLS = _SUMMARY_COLS + ["node-h", "tier", "ops"]
-_PREEMPT_COLS = _SUMMARY_COLS + ["depri", "pauses"]
-_DETECT_COLS = _SUMMARY_COLS + ["detect s", "false+", "requeues", "wasted s"]
+#: The comparison axes in cell order (outermost first): every value an
+#: 'all' expands to, and the comparison-title word.  A run's cells are
+#: the product of the axes.
+_AXES = {
+    "autoscale": (AUTOSCALE_POLICIES, "autoscale-policy"),
+    "policy": (QUEUE_POLICIES, "queue-policy"),
+    "preempt": (PREEMPT_MODES, "preemption"),
+    "detector": (DETECTOR_MODES, "detector"),
+}
 
 
-def _reject_autoscale_policy_all(args) -> bool:
-    """Shared serve/replay rule: autoscale compares provisioning
-    policies on *one* queue policy."""
-    if args.autoscale is not None and args.policy == "all":
-        log.error(
-            "--autoscale compares provisioning policies on one queue "
-            "policy; pass a single --policy (e.g. edf), not 'all'"
-        )
-        return True
-    return False
+def _cells(args):
+    """Each axis's values, and the cells of their product (one dict of
+    axis -> value per cell, in canonical order)."""
+    axes = {
+        axis: list(every) if getattr(args, axis) == "all"
+        else [getattr(args, axis)]
+        for axis, (every, _title) in _AXES.items()
+    }
+    cells = [dict(zip(axes, combo)) for combo in product(*axes.values())]
+    return axes, cells
 
 
-def _reject_preempt_all_conflicts(args) -> bool:
-    """Shared serve/replay rule: `--preempt all` compares preemption
-    modes on one queue policy with a fixed tier — one axis at a time."""
-    if args.preempt == "all" and (
-        args.policy == "all" or args.autoscale is not None
-    ):
-        log.error(
-            "--preempt all compares preemption modes on one queue "
-            "policy with a fixed dedicated tier; pass a single "
-            "--policy (e.g. edf) and drop --autoscale"
-        )
-        return True
-    return False
-
-
-def _reject_detector_all_conflicts(args) -> bool:
-    """Shared serve/replay rule: `--detector all` compares detection
-    modes on one queue policy with everything else fixed."""
-    if args.detector == "all" and (
-        args.policy == "all"
-        or args.autoscale is not None
-        or args.preempt == "all"
-    ):
-        log.error(
-            "--detector all compares detection modes on one queue "
-            "policy with a fixed tier and preemption mode; pass a "
-            "single --policy/--preempt and drop --autoscale"
-        )
-        return True
-    return False
-
-
-def _detector_modes(args):
-    """The detection cells of one serve/replay run."""
-    if args.detector == "all":
-        return list(DETECTOR_MODES)
-    return [args.detector]
-
-
-def _detector_cfg(args, mode) -> DetectorConfig:
-    return DetectorConfig(mode=mode, timeout_scale=args.detector_scale)
-
-
-def _journal_cfg(args) -> DfsConfig:
-    """DfsConfig from the --journal flags.  --namenode-crash implies
-    the journal on (a crash without one is unrecoverable, and the
-    flag's whole point is the failover)."""
-    crash = getattr(args, "namenode_crash", None)
-    if getattr(args, "journal", "off") != "on" and crash is None:
-        return DfsConfig()
-    return DfsConfig(
-        journal=JournalConfig(
-            enabled=True,
-            checkpoint_interval=args.checkpoint_interval,
-            crash_at=crash,
-        )
+def _one_cell(args, what: str):
+    """The cell of a command that runs exactly one; None (after logging
+    the usage error) when an axis is 'all'."""
+    _, cells = _cells(args)
+    if len(cells) == 1:
+        return cells[0]
+    log.error(
+        "%s runs exactly one cell; pass one value, not 'all', for each "
+        "comparison axis", what,
     )
-
-
-def _preempt_modes(args):
-    """The preemption cells of one serve/replay run ([None] = the
-    classic service without a controller)."""
-    from ..service import PREEMPT_MODES
-
-    if args.preempt == "all":
-        return list(PREEMPT_MODES)
-    return [args.preempt]
-
-
-def _preempt_cfg(mode):
-    from ..service import PreemptConfig
-
-    return None if mode is None else PreemptConfig(mode=mode)
+    return None
 
 
 def _max_dedicated(args) -> int:
@@ -357,69 +297,130 @@ def _max_dedicated(args) -> int:
     )
 
 
-def _serve_arrivals(args, system):
-    """Build the arrival stream for one serve run (seed-deterministic)."""
-    from ..service import (
-        bursty_arrivals,
-        default_catalog,
-        diurnal_arrivals,
-        poisson_arrivals,
-        sleep_catalog,
-    )
-
-    catalog = (
-        sleep_catalog() if args.catalog == "sleep"
-        else default_catalog(block_mb=args.block_mb)
-    )
-    tenants = tuple(f"tenant-{i + 1}" for i in range(args.tenants))
-    rng = system.sim.rng("service/arrivals")
-    horizon = args.hours * 3600.0
-    if args.pattern == "poisson":
-        return poisson_arrivals(
-            rng, args.jobs_per_hour, horizon, catalog, tenants
+def _journal_cfg(args) -> DfsConfig:
+    """DfsConfig from the --journal flags.  --namenode-crash implies
+    the journal on (a crash without one is unrecoverable, and the
+    flag's whole point is the failover)."""
+    if args.journal != "on" and args.namenode_crash is None:
+        return DfsConfig()
+    return DfsConfig(
+        journal=JournalConfig(
+            enabled=True,
+            checkpoint_interval=args.checkpoint_interval,
+            crash_at=args.namenode_crash,
         )
-    if args.pattern == "bursty":
-        # Bursts of --burst-size jobs whose epoch rate preserves the
-        # requested mean arrival rate exactly.
-        return bursty_arrivals(
-            rng,
-            bursts_per_hour=args.jobs_per_hour / args.burst_size,
-            burst_size_mean=args.burst_size,
-            horizon=horizon,
-            catalog=catalog,
-            tenants=tenants,
-        )
-    return diurnal_arrivals(
-        rng, args.jobs_per_hour, horizon, catalog, tenants
     )
 
 
-def _serve_system(args, dedicated_primary: bool = False, obs=None,
-                  detector=None):
-    """A fresh system per serve cell: same seed -> same traces and the
-    same arrival draws, so policies compete on identical streams."""
-    from dataclasses import replace as _replace
+def _cell_spec(args, cell, arrivals, **service):
+    """One cell's RunSpec: the world flags, the cell's axis values and
+    the command's stream (``service`` adds ServiceConfig fields)."""
+    from ..service import AutoscaleConfig, PreemptConfig, ServiceConfig
+    from ..service.world import RunSpec
 
-    scheduler = moon_scheduler_config()
-    if dedicated_primary:
-        scheduler = _replace(scheduler, dedicated_primary=True)
-    cfg = SystemConfig(
-        cluster=ClusterConfig(
-            n_volatile=args.volatile, n_dedicated=args.dedicated
+    autoscale = preempt = None
+    if cell["autoscale"] is not None:
+        autoscale = AutoscaleConfig(
+            policy=cell["autoscale"],
+            interval=args.autoscale_interval,
+            min_dedicated=args.min_dedicated,
+            max_dedicated=_max_dedicated(args),
+        )
+    if cell["preempt"] is not None:
+        preempt = PreemptConfig(mode=cell["preempt"])
+    return RunSpec(
+        system=SystemConfig(
+            cluster=ClusterConfig(
+                n_volatile=args.volatile, n_dedicated=args.dedicated
+            ),
+            trace=TraceConfig(unavailability_rate=args.rate),
+            scheduler=moon_scheduler_config(),
+            detector=DetectorConfig(
+                mode=cell["detector"], timeout_scale=args.detector_scale
+            ),
+            dfs=_journal_cfg(args),
+            seed=args.seed,
         ),
-        trace=TraceConfig(unavailability_rate=args.rate),
-        scheduler=scheduler,
-        detector=(detector if detector is not None else DetectorConfig()),
-        dfs=_journal_cfg(args),
-        seed=args.seed,
+        service=ServiceConfig(
+            policy=cell["policy"],
+            max_in_flight=args.max_in_flight,
+            max_queue_depth=args.queue_depth,
+            tenant_quota=args.tenant_quota,
+            autoscale=autoscale,
+            preempt=preempt,
+            admission_prices=args.admission_prices,
+            **service,
+        ),
+        arrivals=arrivals,
     )
-    return moon_system(cfg, obs=obs)
+
+
+def _comparison_title(args, axes, stream) -> str:
+    """Names the varied axes and the stream, plus a single queue policy
+    and the autoscale bounds when they hold for every cell."""
+    title = " x ".join(_AXES[a][1] for a in axes if len(axes[a]) > 1)
+    title += f" comparison - {stream}"
+    if len(axes["policy"]) == 1:
+        title += f", {axes['policy'][0]} queue"
+    if axes["autoscale"] != [None]:
+        title += (
+            f" (D{args.dedicated}, bounds {args.min_dedicated}.."
+            f"{_max_dedicated(args)})"
+        )
+    return title
+
+
+def _serve_cells(args, arrivals, stream, capture=False, **service):
+    """Serve every cell of the comparison on the same stream: print
+    each report with its audits, then (for more than one cell) the
+    comparison table with one key column per varied axis; write
+    --json.  Returns the first cell's captured trace (None unless
+    ``capture``)."""
+    from ..service import render_decisions, render_preempt_events
+    from ..service.world import comparison_table, run
+
+    axes, cells = _cells(args)
+    keys = [axis for axis, values in axes.items() if len(values) > 1]
+    obs = _make_obs(args)
+    runs = []
+    captured = None
+    for i, cell in enumerate(cells):
+        spec = _cell_spec(
+            args, cell, arrivals, capture=capture and i == 0, **service
+        )
+        # Like --capture, the flight recorder rides the first cell only.
+        report, served = run(spec, obs=obs if i == 0 else None)
+        if i == 0:
+            captured = served.captured_trace
+        print(report.render())
+        print()
+        if report.scale_events:
+            print(render_decisions(report.scale_events))
+            print()
+        if report.preempt_events:
+            print(render_preempt_events(report.preempt_events))
+            print()
+        runs.append(([cell[k] for k in keys], spec, report))
+    if len(cells) > 1:
+        title = _comparison_title(args, axes, stream)
+        print(comparison_table(keys, runs, title))
+    if args.json_out is not None:
+        _write_reports_json(
+            args.json_out, [report.to_dict() for _k, _s, report in runs]
+        )
+    _export_obs(obs)
+    return captured
 
 
 def cmd_serve(args) -> int:
     """Serve a continuous job stream and report SLO metrics."""
-    from ..plotting import table
-    from ..service import QUEUE_POLICIES, ServiceConfig
+    from ..core import save_snapshot
+    from ..service.world import (
+        SyntheticArrivals,
+        build_world,
+        finish,
+        numbered_tenants,
+    )
 
     _resolve_serve_defaults(args)
     if args.pattern == "replay":
@@ -431,126 +432,32 @@ def cmd_serve(args) -> int:
             "with `repro replay --trace <file>` instead"
         )
         return 2
-    if _reject_preempt_all_conflicts(args):
+    arrivals = SyntheticArrivals(
+        pattern=args.pattern,
+        jobs_per_hour=args.jobs_per_hour,
+        burst_size=args.burst_size,
+        catalog=args.catalog,
+        block_mb=args.block_mb,
+        tenants=numbered_tenants(args.tenants),
+    )
+    horizon = args.hours * 3600.0
+    if args.checkpoint is None and args.checkpoint_at is None:
+        _serve_cells(
+            args, arrivals, f"{args.pattern} arrivals", horizon=horizon
+        )
+        return 0
+    if args.checkpoint is None or args.checkpoint_at is None:
+        log.error("--checkpoint PATH and --checkpoint-at T go together")
         return 2
-    if _reject_detector_all_conflicts(args):
+    cell = _one_cell(args, "--checkpoint")
+    if cell is None:
         return 2
-    if args.checkpoint is not None or args.checkpoint_at is not None:
-        if args.checkpoint is None or args.checkpoint_at is None:
-            log.error(
-                "--checkpoint PATH and --checkpoint-at T go together"
-            )
-            return 2
-        if (
-            args.policy == "all"
-            or args.preempt == "all"
-            or args.detector == "all"
-            or args.autoscale is not None
-        ):
-            log.error(
-                "--checkpoint snapshots one run; pass a single "
-                "--policy/--preempt/--detector and drop --autoscale"
-            )
-            return 2
-        return _serve_checkpointed(args)
-    if args.autoscale is not None:
-        return _serve_autoscaled(args)
-    from ..service import render_preempt_events
-
-    policies = (
-        list(QUEUE_POLICIES) if args.policy == "all" else [args.policy]
-    )
-    preempt_modes = _preempt_modes(args)
-    detector_modes = _detector_modes(args)
-    summaries = []
-    json_reports = []
-    # Like --capture, the flight recorder observes the FIRST cell of a
-    # comparison; later cells run with obs off.
+    # Advance to --checkpoint-at, persist the world, then keep serving
+    # to the usual report; `repro resume` picks the snapshot up in a
+    # fresh process and produces the identical report.
     obs = _make_obs(args)
-    obs_pending = obs
-    for policy in policies:
-        for mode in preempt_modes:
-            for dmode in detector_modes:
-                system = _serve_system(
-                    args,
-                    obs=obs_pending,
-                    detector=_detector_cfg(args, dmode),
-                )
-                obs_pending = None
-                arrivals = _serve_arrivals(args, system)
-                service_cfg = ServiceConfig(
-                    policy=policy,
-                    max_in_flight=args.max_in_flight,
-                    max_queue_depth=args.queue_depth,
-                    tenant_quota=args.tenant_quota,
-                    horizon=args.hours * 3600.0,
-                    preempt=_preempt_cfg(mode),
-                    admission_prices=args.admission_prices,
-                )
-                report = system.run_service(
-                    arrivals, service_cfg, pattern=args.pattern
-                )
-                system.jobtracker.stop()
-                system.namenode.stop()
-                print(report.render())
-                print()
-                if report.preempt_events:
-                    print(render_preempt_events(report.preempt_events))
-                    print()
-                if len(detector_modes) > 1:
-                    summaries.append([dmode] + report.detector_row())
-                elif len(preempt_modes) > 1:
-                    summaries.append([mode] + report.preempt_row())
-                else:
-                    summaries.append([policy] + report.summary_row())
-                json_reports.append(report.to_dict())
-    if len(summaries) > 1:
-        if len(detector_modes) > 1:
-            headers = ["detector"] + _DETECT_COLS
-            title = (
-                f"detector comparison - {args.pattern} arrivals, "
-                f"{policies[0]} queue"
-            )
-        elif len(preempt_modes) > 1:
-            headers = ["preempt"] + _PREEMPT_COLS
-            title = (
-                f"preemption comparison - {args.pattern} arrivals, "
-                f"{policies[0]} queue"
-            )
-        else:
-            headers = ["policy"] + _SUMMARY_COLS
-            title = f"queue-policy comparison - {args.pattern} arrivals"
-        print(table(headers, summaries, title=title))
-    if args.json_out is not None:
-        _write_reports_json(args.json_out, json_reports)
-    _export_obs(obs)
-    return 0
-
-
-def _serve_checkpointed(args) -> int:
-    """One serve cell with a mid-run snapshot: advance to
-    --checkpoint-at, persist the world, then keep serving to the usual
-    report.  `repro resume` picks the snapshot up in a fresh process
-    and produces the identical report."""
-    from ..core import save_snapshot
-    from ..service import MoonService, ServiceConfig
-
-    obs = _make_obs(args)
-    system = _serve_system(
-        args, obs=obs, detector=_detector_cfg(args, args.detector)
-    )
-    arrivals = _serve_arrivals(args, system)
-    service_cfg = ServiceConfig(
-        policy=args.policy,
-        max_in_flight=args.max_in_flight,
-        max_queue_depth=args.queue_depth,
-        tenant_quota=args.tenant_quota,
-        horizon=args.hours * 3600.0,
-        preempt=_preempt_cfg(args.preempt),
-        admission_prices=args.admission_prices,
-    )
-    service = MoonService(
-        system, service_cfg, arrivals, pattern=args.pattern
+    service = build_world(
+        _cell_spec(args, cell, arrivals, horizon=horizon), obs
     )
     service.advance(args.checkpoint_at)
     save_snapshot(service, args.checkpoint)
@@ -559,10 +466,7 @@ def _serve_checkpointed(args) -> int:
         f"{args.checkpoint} (resume with `repro resume "
         f"{args.checkpoint}`)"
     )
-    service.advance(service_cfg.horizon + service_cfg.drain_limit)
-    report = service.finalize()
-    system.jobtracker.stop()
-    system.namenode.stop()
+    report = finish(service)
     print(report.render())
     if args.json_out is not None:
         _write_reports_json(args.json_out, [report.to_dict()])
@@ -574,27 +478,19 @@ def cmd_sweep(args) -> int:
     """Fan a policy x scale x seed grid across processes and merge."""
     from ..errors import ConfigError
     from ..plotting import table
-    from ..service import (
-        QUEUE_POLICIES,
-        SweepSpec,
-        run_sweep,
-        sweep_summary_rows,
-    )
+    from ..service import SweepSpec, run_sweep, sweep_summary_rows
+
+    def csv(text, cast):
+        return tuple(cast(v.strip()) for v in text.split(",") if v.strip())
 
     try:
-        policies = (
-            tuple(QUEUE_POLICIES)
-            if args.policies == "all"
-            else tuple(p.strip() for p in args.policies.split(","))
-        )
         spec = SweepSpec(
-            policies=policies,
-            scales=tuple(
-                float(s) for s in args.scales.split(",") if s.strip()
+            policies=(
+                tuple(QUEUE_POLICIES) if args.policies == "all"
+                else tuple(p.strip() for p in args.policies.split(","))
             ),
-            seeds=tuple(
-                int(s) for s in args.seeds.split(",") if s.strip()
-            ),
+            scales=csv(args.scales, float),
+            seeds=csv(args.seeds, int),
             jobs_per_hour=args.jobs_per_hour,
             hours=args.hours,
             n_volatile=args.volatile,
@@ -609,9 +505,7 @@ def cmd_sweep(args) -> int:
     except (ConfigError, ValueError) as exc:
         log.error("bad sweep grid: %s", exc)
         return 2
-    n_cells = (
-        len(spec.policies) * len(spec.scales) * len(spec.seeds)
-    )
+    n_cells = len(spec.policies) * len(spec.scales) * len(spec.seeds)
     log.info("sweeping %d cell(s) on %d process(es)", n_cells, args.procs)
     result = run_sweep(spec, procs=args.procs)
     print(
@@ -638,6 +532,8 @@ def cmd_resume(args) -> int:
     (re-checkpointed)."""
     from ..core import load_snapshot, save_snapshot
     from ..errors import SnapshotError
+    from ..service import MoonService
+    from ..service.world import finish
 
     if args.until is not None and args.checkpoint is None:
         log.error(
@@ -650,7 +546,13 @@ def cmd_resume(args) -> int:
     except (SnapshotError, OSError) as exc:
         log.error("cannot load %s: %s", args.snapshot, exc)
         return 2
-    cfg = service.config
+    if not isinstance(service, MoonService):
+        log.error(
+            "cannot resume %s: its root is a %s, but resume continues "
+            "a MoonService (write one with `repro serve --checkpoint`)",
+            args.snapshot, type(service).__name__,
+        )
+        return 2
     if args.until is not None:
         drained = service.advance(args.until)
         save_snapshot(service, args.checkpoint)
@@ -660,10 +562,7 @@ def cmd_resume(args) -> int:
             f"checkpoint written -> {args.checkpoint}"
         )
         return 0
-    service.advance(cfg.horizon + cfg.drain_limit)
-    report = service.finalize()
-    service.system.jobtracker.stop()
-    service.system.namenode.stop()
+    report = finish(service)
     if args.checkpoint is not None:
         save_snapshot(service, args.checkpoint)
         print(f"final checkpoint written -> {args.checkpoint}")
@@ -673,134 +572,21 @@ def cmd_resume(args) -> int:
     return 0
 
 
-def _serve_autoscaled(args) -> int:
-    """Serve the same stream under one or all autoscale policies."""
-    from ..plotting import table
-    from ..service import (
-        AUTOSCALE_POLICIES,
-        AutoscaleConfig,
-        ServiceConfig,
-        render_decisions,
-    )
-
-    if _reject_autoscale_policy_all(args):
-        return 2
-    scale_policies = (
-        list(AUTOSCALE_POLICIES)
-        if args.autoscale == "all"
-        else [args.autoscale]
-    )
-    max_dedicated = _max_dedicated(args)
-    summaries = []
-    json_reports = []
-    obs = _make_obs(args)
-    obs_pending = obs
-    for scale_policy in scale_policies:
-        system = _serve_system(
-            args,
-            dedicated_primary=True,
-            obs=obs_pending,
-            detector=_detector_cfg(args, args.detector),
-        )
-        obs_pending = None
-        arrivals = _serve_arrivals(args, system)
-        service_cfg = ServiceConfig(
-            policy=args.policy,
-            max_in_flight=args.max_in_flight,
-            max_queue_depth=args.queue_depth,
-            tenant_quota=args.tenant_quota,
-            horizon=args.hours * 3600.0,
-            autoscale=AutoscaleConfig(
-                policy=scale_policy,
-                interval=args.autoscale_interval,
-                min_dedicated=args.min_dedicated,
-                max_dedicated=max_dedicated,
-            ),
-            preempt=_preempt_cfg(args.preempt),
-            admission_prices=args.admission_prices,
-        )
-        report = system.run_service(
-            arrivals, service_cfg, pattern=args.pattern
-        )
-        system.jobtracker.stop()
-        system.namenode.stop()
-        print(report.render())
-        print()
-        if report.scale_events:
-            print(render_decisions(report.scale_events))
-            print()
-        summaries.append([scale_policy] + report.cost_row())
-        json_reports.append(report.to_dict())
-    if len(summaries) > 1:
-        print(
-            table(
-                ["autoscale"] + _COST_COLS,
-                summaries,
-                title=(
-                    f"autoscale-policy comparison - {args.pattern} "
-                    f"arrivals, {args.policy} queue "
-                    f"(D{args.dedicated}, bounds "
-                    f"{args.min_dedicated}..{max_dedicated})"
-                ),
-            )
-        )
-    if args.json_out is not None:
-        _write_reports_json(args.json_out, json_reports)
-    _export_obs(obs)
-    return 0
-
-
-# ======================================================================
-# replay
-# ======================================================================
-def _replay_service_config(
-    args, policy, autoscale_cfg, capture, trace, preempt_mode=None
-):
-    """One replay cell's ServiceConfig (horizon = the trace's)."""
-    from ..service import ServiceConfig
-
-    return ServiceConfig(
-        policy=policy,
-        max_in_flight=args.max_in_flight,
-        max_queue_depth=args.queue_depth,
-        tenant_quota=args.tenant_quota,
-        horizon=trace.horizon,
-        drain_limit=args.drain_hours * 3600.0,
-        autoscale=autoscale_cfg,
-        capture=capture,
-        trace_name=trace.name,
-        preempt=_preempt_cfg(preempt_mode),
-        admission_prices=args.admission_prices,
-    )
-
-
-def cmd_replay(args) -> int:
-    """Replay a workload-trace file through the service layer."""
+def _load_trace(args):
+    """``--trace`` loaded, optionally synthesized (``--scale`` /
+    ``--stretch``) and calibrated once, so a bad trace fails before any
+    cell runs: ``(trace, TraceArrivals, ServiceConfig fields)``, or
+    None after logging."""
     from ..errors import ReproError
-    from ..plotting import table
-    from ..service import (
-        AUTOSCALE_POLICIES,
-        QUEUE_POLICIES,
-        AutoscaleConfig,
-        MoonService,
-        render_decisions,
-        render_preempt_events,
-    )
+    from ..service.world import TraceArrivals
     from ..workload_traces import (
         CalibrationConfig,
         SynthesisConfig,
         load_workload_trace,
-        save_workload_json,
         synthesize,
         trace_arrivals,
     )
 
-    if _reject_autoscale_policy_all(args):
-        return 2
-    if _reject_preempt_all_conflicts(args):
-        return 2
-    if _reject_detector_all_conflicts(args):
-        return 2
     try:
         trace = load_workload_trace(args.trace)
         if args.scale is not None or args.stretch is not None:
@@ -808,130 +594,46 @@ def cmd_replay(args) -> int:
                 trace,
                 np.random.default_rng(args.seed),
                 SynthesisConfig(
-                    load_factor=(
-                        1.0 if args.scale is None else args.scale
-                    ),
+                    load_factor=1.0 if args.scale is None else args.scale,
                     horizon_factor=(
                         1.0 if args.stretch is None else args.stretch
                     ),
                 ),
             )
-        calibration = CalibrationConfig(
-            max_maps=args.max_maps,
-            max_reduces=args.max_reduces,
-            time_scale=args.time_scale,
+        arrivals = trace_arrivals(
+            trace,
+            CalibrationConfig(
+                max_maps=args.max_maps,
+                max_reduces=args.max_reduces,
+                time_scale=args.time_scale,
+            ),
         )
-        # Calibrated once: a bad trace fails before any cell runs, and
-        # the frozen JobArrival list is safely shared across cells.
-        arrivals = trace_arrivals(trace, calibration)
     except (ReproError, OSError) as exc:
-        log.error("replay: %s", exc)
+        log.error("%s: %s", args.command, exc)
+        return None
+    service = dict(horizon=trace.horizon, trace_name=trace.name,
+                   drain_limit=args.drain_hours * 3600.0)
+    return trace, TraceArrivals(tuple(arrivals), trace.pattern), service
+
+
+# ======================================================================
+# replay
+# ======================================================================
+def cmd_replay(args) -> int:
+    """Replay a workload-trace file through the service layer."""
+    from ..workload_traces import save_workload_json
+
+    loaded = _load_trace(args)
+    if loaded is None:
         return 2
+    trace, arrivals, service = loaded
     print(trace.summary().render())
     print()
-
-    scale_policies = (
-        list(AUTOSCALE_POLICIES) if args.autoscale == "all"
-        else [args.autoscale] if args.autoscale is not None
-        else [None]
+    captured = _serve_cells(
+        args, arrivals, f"trace {trace.name}",
+        capture=args.capture is not None, **service,
     )
-    queue_policies = (
-        list(QUEUE_POLICIES) if args.policy == "all" else [args.policy]
-    )
-    max_dedicated = _max_dedicated(args)
-    preempt_modes = _preempt_modes(args)
-    detector_modes = _detector_modes(args)
-    cells = [
-        (policy, scale_policy, mode, dmode)
-        for scale_policy in scale_policies
-        for policy in queue_policies
-        for mode in preempt_modes
-        for dmode in detector_modes
-    ]
-    summaries = []
-    json_reports = []
-    captured = None
-    # As with --capture, the flight recorder rides the FIRST cell only.
-    obs = _make_obs(args)
-    obs_pending = obs
-    for policy, scale_policy, mode, dmode in cells:
-        autoscale_cfg = (
-            None if scale_policy is None
-            else AutoscaleConfig(
-                policy=scale_policy,
-                interval=args.autoscale_interval,
-                min_dedicated=args.min_dedicated,
-                max_dedicated=max_dedicated,
-            )
-        )
-        system = _serve_system(
-            args,
-            dedicated_primary=scale_policy is not None,
-            obs=obs_pending,
-            detector=_detector_cfg(args, dmode),
-        )
-        obs_pending = None
-        service = MoonService(
-            system,
-            _replay_service_config(
-                args, policy, autoscale_cfg,
-                capture=(args.capture is not None and captured is None),
-                trace=trace,
-                preempt_mode=mode,
-            ),
-            arrivals,
-            pattern=trace.pattern,
-        )
-        report = service.run()
-        if service.captured_trace is not None:
-            captured = service.captured_trace
-        system.jobtracker.stop()
-        system.namenode.stop()
-        print(report.render())
-        print()
-        if report.scale_events:
-            print(render_decisions(report.scale_events))
-            print()
-        if report.preempt_events:
-            print(render_preempt_events(report.preempt_events))
-            print()
-        if scale_policy is not None:
-            summaries.append([scale_policy, policy] + report.cost_row())
-        elif len(preempt_modes) > 1:
-            summaries.append([mode] + report.preempt_row())
-        elif len(detector_modes) > 1:
-            summaries.append([dmode] + report.detector_row())
-        else:
-            summaries.append([policy] + report.summary_row())
-        json_reports.append(report.to_dict())
-    if len(summaries) > 1:
-        if scale_policies != [None]:
-            headers = ["autoscale", "policy"] + _COST_COLS
-            title = (
-                f"autoscale-policy comparison - trace {trace.name}, "
-                f"{queue_policies[0]} queue (D{args.dedicated}, bounds "
-                f"{args.min_dedicated}..{max_dedicated})"
-            )
-        elif len(preempt_modes) > 1:
-            headers = ["preempt"] + _PREEMPT_COLS
-            title = (
-                f"preemption comparison - trace {trace.name}, "
-                f"{queue_policies[0]} queue"
-            )
-        elif len(detector_modes) > 1:
-            headers = ["detector"] + _DETECT_COLS
-            title = (
-                f"detector comparison - trace {trace.name}, "
-                f"{queue_policies[0]} queue"
-            )
-        else:
-            headers = ["policy"] + _SUMMARY_COLS
-            title = f"queue-policy comparison - replayed trace {trace.name}"
-        print(table(headers, summaries, title=title))
-    if args.json_out is not None:
-        _write_reports_json(args.json_out, json_reports)
-    _export_obs(obs)
-    if args.capture is not None and captured is not None:
+    if captured is not None:
         try:
             save_workload_json(args.capture, captured)
         except OSError as exc:
@@ -944,64 +646,10 @@ def cmd_replay(args) -> int:
 # ======================================================================
 # explain / diff
 # ======================================================================
-def _explain_replay(args):
-    """Replay one cell with an in-memory tracer; return (explanation,
-    obs) or (None, None) after logging the usage error."""
-    from ..errors import ReproError
-    from ..obs import Observability, ObsConfig
-    from ..obs.explain import explain_tracer
-    from ..service import MoonService
-    from ..workload_traces import (
-        CalibrationConfig,
-        SynthesisConfig,
-        load_workload_trace,
-        synthesize,
-        trace_arrivals,
-    )
-
-    try:
-        trace = load_workload_trace(args.trace)
-        if args.scale is not None:
-            trace = synthesize(
-                trace,
-                np.random.default_rng(args.seed),
-                SynthesisConfig(load_factor=args.scale),
-            )
-        arrivals = trace_arrivals(trace, CalibrationConfig())
-    except (ReproError, OSError) as exc:
-        log.error("explain: %s", exc)
-        return None, None
-    # The recorder is the whole point here: armed unconditionally,
-    # with any --trace-out/--metrics-out files riding along.
-    obs = Observability(
-        ObsConfig(
-            trace=True,
-            trace_out=args.trace_out,
-            metrics_out=args.metrics_out,
-            max_trace_events=args.max_trace_events,
-        )
-    )
-    system = _serve_system(
-        args, obs=obs, detector=_detector_cfg(args, args.detector)
-    )
-    service = MoonService(
-        system,
-        _replay_service_config(
-            args, args.policy, None,
-            capture=False, trace=trace, preempt_mode=args.preempt,
-        ),
-        arrivals,
-        pattern=trace.pattern,
-    )
-    service.run()
-    system.jobtracker.stop()
-    system.namenode.stop()
-    return explain_tracer(obs.tracer), obs
-
-
 def cmd_explain(args) -> int:
     """Causal blame attribution: why was this job slow?"""
-    from ..obs.explain import explain_trace_file
+    from ..obs.explain import explain_trace_file, explain_tracer
+    from ..service.world import run
 
     obs = None
     if args.from_trace is not None:
@@ -1017,15 +665,18 @@ def cmd_explain(args) -> int:
                 "--from <trace-out JSON> to explain a recorded run"
             )
             return 2
-        if args.preempt == "all" or args.detector == "all":
-            log.error(
-                "explain: attributes one cell; pass a single "
-                "--preempt/--detector mode, not 'all'"
-            )
+        cell = _one_cell(args, "explain")
+        if cell is None:
             return 2
-        explanation, obs = _explain_replay(args)
-        if explanation is None:
+        loaded = _load_trace(args)
+        if loaded is None:
             return 2
+        _trace, arrivals, service = loaded
+        # The recorder is the whole point here: armed unconditionally,
+        # with any --trace-out/--metrics-out files riding along.
+        obs = _make_obs(args, trace=True)
+        run(_cell_spec(args, cell, arrivals, **service), obs=obs)
+        explanation = explain_tracer(obs.tracer)
     if not explanation.jobs:
         log.error("explain: the trace contains no finished jobs")
         return 2
@@ -1053,10 +704,7 @@ def cmd_explain(args) -> int:
     print()
     print("\n\n".join(explanation.render_job(b) for b in selected))
     if args.json_out is not None:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(explanation.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        log.info("wrote explanation to %s", args.json_out)
+        _write_json(args.json_out, explanation.to_dict(), "explanation")
     _export_obs(obs)
     return 0
 
@@ -1199,20 +847,12 @@ def cmd_perf(args) -> int:
 def cmd_profile(args) -> int:
     """Profile the dispatch loop over perf scenarios; print the hot
     table (per-handler count, cumulative wall-clock, share)."""
-    from ..obs import Observability, ObsConfig, default_observability
+    from ..obs import default_observability
     from ..obs.profile import PROFILE_SCHEMA_VERSION
     from ..perf import SCENARIOS
 
     names = args.scenario or ["fig6"]
-    obs = Observability(
-        ObsConfig(
-            trace=args.trace_out is not None,
-            profile=True,
-            trace_out=args.trace_out,
-            metrics_out=args.metrics_out,
-            max_trace_events=args.max_trace_events,
-        )
-    )
+    obs = _make_obs(args, profile=True)
     # Scenarios construct their systems internally; the process-wide
     # default hands every Simulation they build this recorder.
     with default_observability(obs):
@@ -1231,9 +871,6 @@ def cmd_profile(args) -> int:
             "scenarios": names,
             "profile": obs.profiler.to_dict(),
         }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        log.info("wrote profile to %s", args.json_out)
+        _write_json(args.json_out, payload, "profile")
     _export_obs(obs)
     return 0

@@ -11,36 +11,50 @@ from .. import __version__
 from . import commands
 
 
+def _add_json_flag(parser, help_text: str) -> None:
+    parser.add_argument("--json", default=None, metavar="PATH",
+                        dest="json_out", help=help_text)
+
+
 def _add_obs_flags(parser) -> None:
-    """The flight-recorder flags shared by run, serve and replay."""
+    """The flight-recorder flags of run, profile and the world commands."""
     parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
+        "--trace-out", default=None, metavar="PATH",
         help="write a Chrome-trace-event JSON of the run (load in "
              "Perfetto / chrome://tracing; first cell when comparing "
              "policies)",
     )
     parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
+        "--metrics-out", default=None, metavar="PATH",
         help="write the run's metrics registry (counters, gauges, "
              "histograms) as JSON",
     )
     parser.add_argument(
-        "--max-trace-events",
-        type=int,
-        default=1_000_000,
-        metavar="N",
+        "--max-trace-events", type=int, default=1_000_000, metavar="N",
         help="tracer memory cap; events beyond it are dropped, "
              "counted in obs/dropped_events and warned about at "
              "export (never silently)",
     )
 
 
-def _add_autoscale_bounds(parser) -> None:
-    """The autoscale-bounds flags shared verbatim by serve and replay."""
+def _add_comparison_flags(parser, policy_default) -> None:
+    """The queue-policy and autoscale axes (each may be 'all') and the
+    autoscale bounds, shared by serve and replay."""
+    from ..service.autoscale import AUTOSCALE_POLICIES
+    from ..service.queue import QUEUE_POLICIES
+
+    parser.add_argument(
+        "--policy", choices=list(QUEUE_POLICIES) + ["all"],
+        default=policy_default,
+        help="queue ordering policy ('all' compares every policy)"
+             + _mode_tag("policy", policy_default),
+    )
+    parser.add_argument(
+        "--autoscale", choices=list(AUTOSCALE_POLICIES) + ["all"],
+        default=None,
+        help="autoscale the dedicated tier with this provisioning "
+             "policy ('all' compares the three on cost and SLO)",
+    )
     parser.add_argument("--min-dedicated", type=int, default=1,
                         help="autoscale floor for the dedicated tier")
     parser.add_argument("--max-dedicated", type=int, default=None,
@@ -50,78 +64,124 @@ def _add_autoscale_bounds(parser) -> None:
                         help="seconds between autoscale control rounds")
 
 
-def _add_detector_flags(parser) -> None:
-    """The failure-detection flags shared verbatim by serve and replay."""
-    from ..config import DETECTOR_MODES
+#: Defaults of the shared world flags, one row per command.  None marks
+#: a serve flag whose default depends on the mode (see
+#: repro.cli.commands._SERVE_DEFAULTS); the synthetic-stream flags
+#: exist only where a row sets ``hours``.
+_WORLD_DEFAULTS = {
+    "serve": dict(volatile=None, dedicated=3, max_in_flight=None,
+                  queue_depth=None, jobs_per_hour=None, hours=2.0,
+                  catalog=None),
+    "replay": dict(volatile=12, dedicated=2, max_in_flight=4,
+                   queue_depth=64),
+    "explain": dict(volatile=12, dedicated=2, max_in_flight=4,
+                    queue_depth=64),
+    "sweep": dict(volatile=8, dedicated=2, max_in_flight=4,
+                  queue_depth=64, jobs_per_hour=12.0, hours=1.0,
+                  catalog="sleep"),
+}
 
+
+def _mode_tag(flag: str, default) -> str:
+    """Help suffix of a serve flag whose default depends on the mode."""
+    if default is not None:
+        return ""
+    values = commands._SERVE_DEFAULTS[flag]
+    return " [mode: {} / {}]".format(
+        *(f"{v:g}" if isinstance(v, float) else v for v in values)
+    )
+
+
+def _add_world_flags(parser, command: str) -> None:
+    """The cluster, admission and stream flags shared by serve, replay,
+    explain and sweep, with the command's defaults from
+    :data:`_WORLD_DEFAULTS`; every command but sweep also gets the seed,
+    tenant quota, preemption, detector, journal and obs flags."""
+    from ..config import DETECTOR_MODES
+    from ..service.preempt import PREEMPT_MODES
+
+    d = _WORLD_DEFAULTS[command]
+    parser.add_argument("--rate", type=float, default=0.3,
+                        help="volatile-node unavailability rate")
+    parser.add_argument("--volatile", type=int, default=d["volatile"],
+                        help="volatile node count"
+                             + _mode_tag("volatile", d["volatile"]))
+    parser.add_argument("--dedicated", type=int, default=d["dedicated"],
+                        help="dedicated node count")
+    parser.add_argument("--max-in-flight", type=int,
+                        default=d["max_in_flight"],
+                        help="jobs concurrently admitted to the cluster"
+                             + _mode_tag("max_in_flight",
+                                         d["max_in_flight"]))
+    parser.add_argument("--queue-depth", type=int, default=d["queue_depth"],
+                        help="queue bound; arrivals beyond it are rejected"
+                             + _mode_tag("queue_depth", d["queue_depth"]))
+    if "hours" in d:
+        parser.add_argument(
+            "--jobs-per-hour", type=float, default=d["jobs_per_hour"],
+            help="mean arrival rate (peak rate for diurnal; the sweep's "
+                 "scale axis multiplies it)"
+                 + _mode_tag("jobs_per_hour", d["jobs_per_hour"]),
+        )
+        parser.add_argument("--hours", type=float, default=d["hours"],
+                            help="admission horizon in simulated hours")
+        parser.add_argument("--tenants", type=int, default=3,
+                            help="number of tenants sharing the service")
+        parser.add_argument(
+            "--catalog", choices=["mixed", "sleep"], default=d["catalog"],
+            help="workload mix: real data jobs, or data-free sleep jobs"
+                 + _mode_tag("catalog", d["catalog"]),
+        )
+    if command == "sweep":
+        return
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--tenant-quota", type=int, default=None,
+                        help="max in-flight jobs per tenant")
     parser.add_argument(
-        "--detector",
-        choices=list(DETECTOR_MODES) + ["all"],
+        "--preempt", choices=list(PREEMPT_MODES) + ["all"], default=None,
+        help="act on in-flight loose-SLO jobs when tight-SLO arrivals "
+             "queue up: demote them ('deprioritise') or additionally "
+             "suspend them under sustained pressure ('pause'); 'all' "
+             "compares the three modes",
+    )
+    parser.add_argument(
+        "--admission-prices", action="store_true",
+        help="at queue saturation shed the cheapest-to-miss work "
+             "(deadline-free, then loosest SLO) instead of the newest "
+             "arrival",
+    )
+    parser.add_argument(
+        "--detector", choices=list(DETECTOR_MODES) + ["all"],
         default="oracle",
         help="how observers learn node state: 'oracle' (trace-fed "
              "judgements, the byte-identical historical default), "
              "'timeout' (honest fixed heartbeat timeouts with "
              "observation noise), 'adaptive' (phi-accrual-style "
-             "per-node thresholds); 'all' compares the three on one "
-             "queue policy",
+             "per-node thresholds); 'all' compares the three",
     )
     parser.add_argument(
-        "--detector-scale",
-        type=float,
-        default=1.0,
+        "--detector-scale", type=float, default=1.0,
         help="multiply every honest detection threshold (the "
              "detection-latency axis: 0.5 suspects twice as fast)",
     )
-
-
-def _add_journal_flags(parser) -> None:
-    """The durable-metadata flags shared verbatim by serve and replay."""
     parser.add_argument(
-        "--journal",
-        choices=["off", "on"],
-        default="off",
+        "--journal", choices=["off", "on"], default="off",
         help="NameNode write-ahead journal: 'off' (the byte-identical "
              "historical default — an immortal NameNode, zero extra "
              "events) or 'on' (journal every namespace/block-map "
              "mutation and checkpoint periodically)",
     )
     parser.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        default=300.0,
+        "--checkpoint-interval", type=float, default=300.0,
         help="seconds between namespace checkpoints when the journal "
              "is on (shorter -> fewer records replayed at recovery)",
     )
     parser.add_argument(
-        "--namenode-crash",
-        type=float,
-        default=None,
-        metavar="T",
+        "--namenode-crash", type=float, default=None, metavar="T",
         help="crash and fail over the NameNode at sim-time T seconds, "
              "losing unsynced journal records (implies --journal on)",
     )
-
-
-def _add_preemption_flags(parser) -> None:
-    """The preemption flags shared verbatim by serve and replay."""
-    from ..service.preempt import PREEMPT_MODES
-
-    parser.add_argument(
-        "--preempt",
-        choices=list(PREEMPT_MODES) + ["all"],
-        default=None,
-        help="act on in-flight loose-SLO jobs when tight-SLO arrivals "
-             "queue up: demote them ('deprioritise') or additionally "
-             "suspend them under sustained pressure ('pause'); 'all' "
-             "compares the three modes on one queue policy",
-    )
-    parser.add_argument(
-        "--admission-prices",
-        action="store_true",
-        help="at queue saturation shed the cheapest-to-miss work "
-             "(deadline-free, then loosest SLO) instead of the newest "
-             "arrival",
-    )
+    _add_obs_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,93 +282,31 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     serve_p.add_argument(
-        "--pattern",
-        choices=["poisson", "bursty", "diurnal", "replay"],
+        "--pattern", choices=["poisson", "bursty", "diurnal", "replay"],
         default="poisson",
         help="arrival process shape ('replay' needs a trace file — "
              "use `repro replay --trace <file>` instead)",
     )
-    # Single source of truth for the policy names; imported here (not
-    # module-level) so only parser construction depends on the package.
-    from ..service.autoscale import AUTOSCALE_POLICIES
-    from ..service.queue import QUEUE_POLICIES
-
-    serve_p.add_argument(
-        "--policy",
-        choices=list(QUEUE_POLICIES) + ["all"],
-        default=None,
-        help="queue ordering policy ('all' compares every policy) "
-             "[mode: fifo / edf]",
-    )
-    serve_p.add_argument("--jobs-per-hour", type=float, default=None,
-                         help="mean arrival rate (peak rate for diurnal) "
-                              "[mode: 12 / 24]")
     serve_p.add_argument("--burst-size", type=float, default=None,
-                         help="mean jobs per burst (bursty pattern) "
-                              "[mode: 6 / 12]")
-    serve_p.add_argument("--hours", type=float, default=2.0,
-                         help="admission horizon in simulated hours")
-    serve_p.add_argument("--tenants", type=int, default=3,
-                         help="number of tenants sharing the service")
-    serve_p.add_argument(
-        "--catalog",
-        choices=["mixed", "sleep"],
-        default=None,
-        help="workload mix: real data jobs, or data-free sleep jobs "
-             "[mode: mixed / sleep]",
-    )
+                         help="mean jobs per burst (bursty pattern)"
+                              + _mode_tag("burst_size", None))
     serve_p.add_argument("--block-mb", type=float, default=4.0,
                          help="block size of the mixed catalog's jobs")
-    serve_p.add_argument("--max-in-flight", type=int, default=None,
-                         help="jobs concurrently admitted to the cluster "
-                              "[mode: 4 / 8]")
-    serve_p.add_argument("--queue-depth", type=int, default=None,
-                         help="queue bound; arrivals beyond it are "
-                              "rejected [mode: 64 / 128]")
-    serve_p.add_argument("--tenant-quota", type=int, default=None,
-                         help="max in-flight jobs per tenant")
-    serve_p.add_argument("--rate", type=float, default=0.3,
-                         help="volatile-node unavailability rate")
-    serve_p.add_argument("--volatile", type=int, default=None,
-                         help="volatile node count [mode: 30 / 12]")
-    serve_p.add_argument("--dedicated", type=int, default=3)
-    serve_p.add_argument("--seed", type=int, default=42)
     serve_p.add_argument(
-        "--autoscale",
-        choices=list(AUTOSCALE_POLICIES) + ["all"],
-        default=None,
-        help="autoscale the dedicated tier with this provisioning "
-             "policy ('all' compares the three on cost and SLO)",
-    )
-    serve_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="also write the report(s) as versioned JSON",
-    )
-    serve_p.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
+        "--checkpoint", default=None, metavar="PATH",
         help="write a snapshot of the running service at sim-time "
              "--checkpoint-at, then keep serving to the usual report "
              "(resume later with `repro resume PATH`); single-cell "
              "runs only",
     )
     serve_p.add_argument(
-        "--checkpoint-at",
-        type=float,
-        default=None,
-        metavar="T",
+        "--checkpoint-at", type=float, default=None, metavar="T",
         help="sim-time (seconds) at which to take the --checkpoint "
              "snapshot",
     )
-    _add_autoscale_bounds(serve_p)
-    _add_preemption_flags(serve_p)
-    _add_detector_flags(serve_p)
-    _add_journal_flags(serve_p)
-    _add_obs_flags(serve_p)
+    _add_comparison_flags(serve_p, policy_default=None)
+    _add_world_flags(serve_p, "serve")
+    _add_json_flag(serve_p, "also write the report(s) as versioned JSON")
 
     # --- replay ---------------------------------------------------------
     replay_p = sub.add_parser(
@@ -351,19 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p.add_argument("--stretch", type=float, default=None,
                           help="horizon multiplier for the synthesized "
                                "variant (implies synthesis)")
-    replay_p.add_argument(
-        "--policy",
-        choices=list(QUEUE_POLICIES) + ["all"],
-        default="fifo",
-        help="queue ordering policy ('all' compares every policy)",
-    )
-    replay_p.add_argument(
-        "--autoscale",
-        choices=list(AUTOSCALE_POLICIES) + ["all"],
-        default=None,
-        help="autoscale the dedicated tier during the replay ('all' "
-             "compares the three provisioning policies)",
-    )
     replay_p.add_argument("--capture", default=None, metavar="PATH",
                           help="write the served stream back out as a "
                                "canonical trace JSON (first cell when "
@@ -375,33 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="calibration cap on reduce tasks per job")
     replay_p.add_argument("--time-scale", type=float, default=1.0,
                           help="stretch/compress per-task durations")
-    replay_p.add_argument("--max-in-flight", type=int, default=4,
-                          help="jobs concurrently admitted to the cluster")
-    replay_p.add_argument("--queue-depth", type=int, default=64,
-                          help="queue bound; arrivals beyond it are "
-                               "rejected")
-    replay_p.add_argument("--tenant-quota", type=int, default=None,
-                          help="max in-flight jobs per tenant")
     replay_p.add_argument("--drain-hours", type=float, default=4.0,
                           help="extra simulated hours to drain the "
                                "backlog after the trace horizon")
-    replay_p.add_argument("--rate", type=float, default=0.3,
-                          help="volatile-node unavailability rate")
-    replay_p.add_argument("--volatile", type=int, default=12)
-    replay_p.add_argument("--dedicated", type=int, default=2)
-    replay_p.add_argument("--seed", type=int, default=42)
-    replay_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="also write the report(s) as versioned JSON",
-    )
-    _add_autoscale_bounds(replay_p)
-    _add_preemption_flags(replay_p)
-    _add_detector_flags(replay_p)
-    _add_journal_flags(replay_p)
-    _add_obs_flags(replay_p)
+    _add_comparison_flags(replay_p, policy_default="fifo")
+    _add_world_flags(replay_p, "replay")
+    _add_json_flag(replay_p, "also write the report(s) as versioned JSON")
 
     # --- sweep ----------------------------------------------------------
     sweep_p = sub.add_parser(
@@ -426,50 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sweep_p.add_argument(
-        "--policies",
-        default="all",
-        help="comma-separated queue policies, or 'all' (default)",
-    )
-    sweep_p.add_argument(
-        "--scales",
-        default="1.0",
-        help="comma-separated load multipliers on --jobs-per-hour",
-    )
-    sweep_p.add_argument(
-        "--seeds", default="42", help="comma-separated seeds"
-    )
-    sweep_p.add_argument(
-        "--procs",
-        type=int,
-        default=1,
-        help="worker processes (results are byte-identical at any "
-             "value)",
-    )
-    sweep_p.add_argument("--jobs-per-hour", type=float, default=12.0,
-                         help="base mean arrival rate (scaled per cell)")
-    sweep_p.add_argument("--hours", type=float, default=1.0,
-                         help="admission horizon in simulated hours")
-    sweep_p.add_argument(
-        "--catalog",
-        choices=["mixed", "sleep"],
-        default="sleep",
-        help="workload mix of every cell",
-    )
-    sweep_p.add_argument("--max-in-flight", type=int, default=4)
-    sweep_p.add_argument("--queue-depth", type=int, default=64)
-    sweep_p.add_argument("--rate", type=float, default=0.3,
-                         help="volatile-node unavailability rate")
-    sweep_p.add_argument("--volatile", type=int, default=8)
-    sweep_p.add_argument("--dedicated", type=int, default=2)
-    sweep_p.add_argument("--tenants", type=int, default=3)
-    sweep_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="write the merged sweep report (canonical bytes)",
-    )
+    sweep_p.add_argument("--policies", default="all",
+                         help="comma-separated queue policies, or 'all' "
+                              "(default)")
+    sweep_p.add_argument("--scales", default="1.0",
+                         help="comma-separated load multipliers on "
+                              "--jobs-per-hour")
+    sweep_p.add_argument("--seeds", default="42",
+                         help="comma-separated seeds")
+    sweep_p.add_argument("--procs", type=int, default=1,
+                         help="worker processes (results are "
+                              "byte-identical at any value)")
+    _add_world_flags(sweep_p, "sweep")
+    _add_json_flag(sweep_p, "write the merged sweep report (canonical bytes)")
 
     # --- resume ---------------------------------------------------------
     resume_p = sub.add_parser(
@@ -484,30 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
             "sim-time and is re-checkpointed (requires --checkpoint)."
         ),
     )
+    resume_p.add_argument("snapshot",
+                          help="checkpoint file from `serve --checkpoint`")
     resume_p.add_argument(
-        "snapshot", help="checkpoint file from `serve --checkpoint`"
-    )
-    resume_p.add_argument(
-        "--until",
-        type=float,
-        default=None,
-        metavar="T",
+        "--until", type=float, default=None, metavar="T",
         help="advance to sim-time T and stop (instead of serving to "
              "drain); the progress must be persisted with --checkpoint",
     )
-    resume_p.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="write a new snapshot after advancing",
-    )
-    resume_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="also write the final report as versioned JSON",
-    )
+    resume_p.add_argument("--checkpoint", default=None, metavar="PATH",
+                          help="write a new snapshot after advancing")
+    _add_json_flag(resume_p, "also write the final report as versioned JSON")
 
     # --- explain --------------------------------------------------------
     explain_p = sub.add_parser(
@@ -547,38 +466,25 @@ def build_parser() -> argparse.ArgumentParser:
     explain_p.add_argument("--scale", type=float, default=None,
                            help="synthesize the trace at this load "
                                 "factor before replaying")
-    explain_p.add_argument(
-        "--policy",
-        choices=list(QUEUE_POLICIES),
-        default="fifo",
-        help="queue ordering policy of the replayed cell",
-    )
+    from ..service.queue import QUEUE_POLICIES
+
+    explain_p.add_argument("--policy", choices=list(QUEUE_POLICIES),
+                           default="fifo",
+                           help="queue ordering policy of the replayed "
+                                "cell")
     explain_p.add_argument("--job", type=int, default=None, metavar="N",
                            help="explain the job with service seq N")
     explain_p.add_argument("--worst", type=int, default=3, metavar="K",
                            help="explain the K slowest jobs (default 3)")
     explain_p.add_argument("--tenant", default=None,
                            help="explain every job of one tenant")
-    explain_p.add_argument("--max-in-flight", type=int, default=4)
-    explain_p.add_argument("--queue-depth", type=int, default=64)
-    explain_p.add_argument("--tenant-quota", type=int, default=None)
     explain_p.add_argument("--drain-hours", type=float, default=4.0)
-    explain_p.add_argument("--rate", type=float, default=0.3,
-                           help="volatile-node unavailability rate")
-    explain_p.add_argument("--volatile", type=int, default=12)
-    explain_p.add_argument("--dedicated", type=int, default=2)
-    explain_p.add_argument("--seed", type=int, default=42)
-    explain_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="also write the explanation as versioned JSON",
-    )
-    _add_preemption_flags(explain_p)
-    _add_detector_flags(explain_p)
-    _add_journal_flags(explain_p)
-    _add_obs_flags(explain_p)
+    _add_world_flags(explain_p, "explain")
+    _add_json_flag(explain_p, "also write the explanation as versioned JSON")
+    # Replay's trace and axis knobs that explain pins (no flags): the
+    # unsynthesized horizon, identity calibration and a fixed tier.
+    explain_p.set_defaults(stretch=None, max_maps=None, max_reduces=None,
+                           time_scale=1.0, autoscale=None)
 
     # --- diff -----------------------------------------------------------
     diff_p = sub.add_parser(
@@ -696,42 +602,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_p.add_argument("--top", type=int, default=20,
                            help="rows in the hot table")
-    profile_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_out",
-        help="also write the profile as versioned JSON "
-             "(schema_version, scenarios, per-event count/seconds)",
-    )
+    _add_json_flag(profile_p, "also write the profile as versioned JSON "
+                              "(schema_version, scenarios, per-event "
+                              "count/seconds)")
     _add_obs_flags(profile_p)
 
     return parser
-
-
-#: command-name -> handler in :mod:`repro.cli.commands`.
-_DISPATCH = {
-    "fig1": commands.cmd_fig1,
-    "fig4": commands.cmd_fig4,
-    "fig6": commands.cmd_fig6,
-    "fig7": commands.cmd_fig7,
-    "table1": commands.cmd_table1,
-    "table2": commands.cmd_table2,
-    "ablations": commands.cmd_ablations,
-    "run": commands.cmd_run,
-    "serve": commands.cmd_serve,
-    "sweep": commands.cmd_sweep,
-    "resume": commands.cmd_resume,
-    "replay": commands.cmd_replay,
-    "explain": commands.cmd_explain,
-    "diff": commands.cmd_diff,
-    "trace": commands.cmd_trace,
-    "availability": commands.cmd_availability,
-    "estimate": commands.cmd_estimate,
-    "validate": commands.cmd_validate,
-    "perf": commands.cmd_perf,
-    "profile": commands.cmd_profile,
-}
 
 
 def _configure_logging(verbose: bool) -> None:
@@ -753,7 +629,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     _configure_logging(args.verbose)
-    handler = _DISPATCH[args.command]
+    # Every sub-command NAME is handled by commands.cmd_NAME.
+    handler = getattr(commands, f"cmd_{args.command}")
     try:
         return handler(args)
     except BrokenPipeError:  # e.g. `repro fig4 | head`

@@ -43,6 +43,7 @@ process, which is also the sweep runner's execution model.
 from __future__ import annotations
 
 import io
+import itertools
 import pickle
 from typing import Any, BinaryIO, Dict, Union
 
@@ -113,12 +114,25 @@ def restore_bytes(data: bytes) -> Any:
             f"snapshot version {version} is not supported "
             f"(this build reads version {SNAPSHOT_VERSION})"
         )
+    # Validate the whole envelope before touching any process-global
+    # counter: a rejected snapshot must leave this process as it was.
+    if "root" not in payload:
+        raise SnapshotError("corrupt snapshot: envelope has no root")
+    counters = payload.get("counters")
+    if not isinstance(counters, dict):
+        raise SnapshotError(
+            "corrupt snapshot: envelope counters missing or not a mapping"
+        )
     classes = _counter_classes()
-    for name, counter in payload["counters"].items():
-        cls = classes.get(name)
-        if cls is None:
+    for name, counter in counters.items():
+        if name not in classes:
             raise SnapshotError(f"snapshot carries unknown counter {name!r}")
-        cls._ids = counter
+        if not isinstance(counter, itertools.count):
+            raise SnapshotError(
+                f"corrupt snapshot: counter {name!r} is not an id counter"
+            )
+    for name, counter in counters.items():
+        classes[name]._ids = counter
     return payload["root"]
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import SchedulerConfig
+from ..config import SchedulerConfig, SystemConfig
 from ..core import JobResult, MoonSystem, hadoop_system, moon_system
 from ..dfs import ReplicationFactor
 from ..workloads import JobSpec
@@ -54,6 +54,20 @@ def _key(spec: JobSpec, rate, sched: SchedulerConfig, seed, hadoop_mode,
     )
 
 
+def run_job_once(
+    cfg: SystemConfig,
+    spec: JobSpec,
+    hadoop_mode: bool,
+    time_limit: float,
+) -> Tuple[JobResult, MoonSystem]:
+    """Build one batch-job world, run ``spec`` on it, stop its daemons."""
+    system = hadoop_system(cfg) if hadoop_mode else moon_system(cfg)
+    result = system.run_job(spec, time_limit=time_limit)
+    system.jobtracker.stop()
+    system.namenode.stop()
+    return result, system
+
+
 def run_cell(
     scale: Scale,
     spec: JobSpec,
@@ -75,10 +89,10 @@ def run_cell(
             scale, rate, scheduler, seed,
             n_dedicated=n_dedicated, network_model=network_model,
         )
-        system = hadoop_system(cfg) if hadoop_mode else moon_system(cfg)
-        results.append(system.run_job(spec, time_limit=scale.time_limit))
-        system.jobtracker.stop()
-        system.namenode.stop()
+        result, _system = run_job_once(
+            cfg, spec, hadoop_mode, scale.time_limit
+        )
+        results.append(result)
     _cache[key] = results
     while len(_cache) > CACHE_MAX_ENTRIES:
         _cache.popitem(last=False)

@@ -17,13 +17,12 @@ behaviour-changing PR re-pins the baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import ClusterConfig, SchedulerConfig, SystemConfig, TraceConfig
-from ..core import hadoop_system, moon_system
 from ..dfs import ReplicationFactor
-from ..experiments.harness import hadoop_policy, moon_policy
+from ..experiments.harness import hadoop_policy, moon_policy, run_job_once
 from ..experiments.scale import Scale, sort_at
 from ..workloads import JobSpec
 
@@ -73,10 +72,9 @@ def _run_cells(
     sim_seconds = 0.0
     for spec, rate, sched, hadoop_mode, n_ded, net in cells:
         cfg = _cell_config(rate, sched, n_dedicated=n_ded, network_model=net)
-        system = hadoop_system(cfg) if hadoop_mode else moon_system(cfg)
-        result = system.run_job(spec, time_limit=PERF_SCALE.time_limit)
-        system.jobtracker.stop()
-        system.namenode.stop()
+        result, system = run_job_once(
+            cfg, spec, hadoop_mode, PERF_SCALE.time_limit
+        )
         events += system.sim.executed_events
         sim_seconds += system.sim.now
         if result.succeeded:
@@ -131,46 +129,68 @@ def _fig7_slice() -> Dict[str, float]:
     )
 
 
-def _service_2k() -> Dict[str, float]:
-    """2k-job service stream: Poisson arrivals on the sleep catalog.
+def _service2k_spec():
+    """The ``service2k`` world: ~2000 Poisson arrivals on the sleep
+    catalog over an 8-hour horizon, EDF queue, 30+3 nodes at 0.3.  The
+    other 2k service scenarios each replace one part of it."""
+    from ..service import ServiceConfig
+    from ..service.world import RunSpec, SyntheticArrivals
 
-    ~2000 arrivals over an 8-hour horizon through admission control,
-    the EDF queue and the full task machinery underneath.
-    """
-    from ..service import ServiceConfig, poisson_arrivals, sleep_catalog
-
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=moon_policy(True),
-        seed=PERF_SCALE.seeds[0],
-    )
-    system = moon_system(cfg)
-    arrivals = poisson_arrivals(
-        system.sim.rng("service/arrivals"),
-        rate_per_hour=250.0,
-        horizon=8 * 3600.0,
-        catalog=sleep_catalog(),
-    )
-    report = system.run_service(
-        arrivals,
-        ServiceConfig(
+    return RunSpec(
+        system=SystemConfig(
+            cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
+            trace=TraceConfig(unavailability_rate=0.3),
+            scheduler=moon_policy(True),
+            seed=PERF_SCALE.seeds[0],
+        ),
+        service=ServiceConfig(
             policy="edf",
             max_in_flight=16,
             max_queue_depth=256,
             horizon=8 * 3600.0,
             drain_limit=4 * 3600.0,
         ),
-        pattern="poisson",
+        arrivals=SyntheticArrivals(jobs_per_hour=250.0, catalog="sleep"),
     )
-    system.jobtracker.stop()
-    system.namenode.stop()
-    return {
-        "events": float(system.sim.executed_events),
+
+
+#: Bursts of ~30 jobs, 8 bursts an hour (the autoscale/preempt stress).
+_BURSTY_2K = dict(
+    pattern="bursty", jobs_per_hour=240.0, burst_size=30.0, catalog="sleep"
+)
+
+
+def _serve(spec, **counters) -> Dict[str, float]:
+    """Run ``spec``; the common work counters plus ``counters``, each a
+    function of (report, service)."""
+    from ..service.world import run
+
+    report, service = run(spec)
+    work = {
+        "events": float(service.sim.executed_events),
         "jobs_done": float(report.overall.completed),
-        "sim_seconds": system.sim.now,
-        "arrivals": float(len(arrivals)),
+        "sim_seconds": service.sim.now,
+        "arrivals": float(len(service.records)),
     }
+    for name, counter in counters.items():
+        work[name] = float(counter(report, service))
+    return work
+
+
+def _metric(name: str):
+    """A counter reading one registry counter of the served world."""
+    return lambda _report, service: (
+        service.system.obs.metrics.counter(name).value
+    )
+
+
+def _service_2k() -> Dict[str, float]:
+    """2k-job service stream: Poisson arrivals on the sleep catalog.
+
+    ~2000 arrivals over an 8-hour horizon through admission control,
+    the EDF queue and the full task machinery underneath.
+    """
+    return _serve(_service2k_spec())
 
 
 def _autoscale_2k() -> Dict[str, float]:
@@ -182,53 +202,24 @@ def _autoscale_2k() -> Dict[str, float]:
     get reused), and the node-hours accounting — on top of the same
     admission/queue/task stack as ``service2k``.
     """
-    from dataclasses import replace
+    from ..service import AutoscaleConfig
+    from ..service.world import SyntheticArrivals
 
-    from ..service import (
-        AutoscaleConfig,
-        ServiceConfig,
-        bursty_arrivals,
-        sleep_catalog,
-    )
-
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=replace(moon_policy(True), dedicated_primary=True),
-        seed=PERF_SCALE.seeds[0],
-    )
-    system = moon_system(cfg)
-    arrivals = bursty_arrivals(
-        system.sim.rng("service/arrivals"),
-        bursts_per_hour=8.0,
-        burst_size_mean=30.0,
-        horizon=8 * 3600.0,
-        catalog=sleep_catalog(),
-    )
-    report = system.run_service(
-        arrivals,
-        ServiceConfig(
-            policy="edf",
-            max_in_flight=16,
-            max_queue_depth=256,
-            horizon=8 * 3600.0,
-            drain_limit=4 * 3600.0,
-            autoscale=AutoscaleConfig(
-                policy="reactive", min_dedicated=1, max_dedicated=12
+    base = _service2k_spec()
+    return _serve(
+        replace(
+            base,
+            service=replace(
+                base.service,
+                autoscale=AutoscaleConfig(
+                    policy="reactive", min_dedicated=1, max_dedicated=12
+                ),
             ),
+            arrivals=SyntheticArrivals(**_BURSTY_2K),
         ),
-        pattern="bursty",
+        scale_actions=lambda report, _s: len(report.scale_events),
+        node_hours=lambda report, _s: report.node_hours,
     )
-    system.jobtracker.stop()
-    system.namenode.stop()
-    return {
-        "events": float(system.sim.executed_events),
-        "jobs_done": float(report.overall.completed),
-        "sim_seconds": system.sim.now,
-        "arrivals": float(len(arrivals)),
-        "scale_actions": float(len(report.scale_events)),
-        "node_hours": float(report.node_hours),
-    }
 
 
 def _replay_2k() -> Dict[str, float]:
@@ -242,7 +233,7 @@ def _replay_2k() -> Dict[str, float]:
     """
     import numpy as np
 
-    from ..service import ServiceConfig
+    from ..service.world import TraceArrivals
     from ..workload_traces import (
         SynthesisConfig,
         sample_hadoop_trace,
@@ -255,34 +246,18 @@ def _replay_2k() -> Dict[str, float]:
         np.random.default_rng(PERF_SCALE.seeds[0]),
         SynthesisConfig(load_factor=18.0, horizon_factor=4.0),
     )
-    arrivals = trace_arrivals(trace)
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=moon_policy(True),
-        seed=PERF_SCALE.seeds[0],
+    base = _service2k_spec()
+    return _serve(
+        replace(
+            base,
+            service=replace(
+                base.service, horizon=trace.horizon, trace_name=trace.name
+            ),
+            arrivals=TraceArrivals(
+                tuple(trace_arrivals(trace)), pattern=trace.pattern
+            ),
+        )
     )
-    system = moon_system(cfg)
-    report = system.run_service(
-        arrivals,
-        ServiceConfig(
-            policy="edf",
-            max_in_flight=16,
-            max_queue_depth=256,
-            horizon=trace.horizon,
-            drain_limit=4 * 3600.0,
-            trace_name=trace.name,
-        ),
-        pattern=trace.pattern,
-    )
-    system.jobtracker.stop()
-    system.namenode.stop()
-    return {
-        "events": float(system.sim.executed_events),
-        "jobs_done": float(report.overall.completed),
-        "sim_seconds": system.sim.now,
-        "arrivals": float(len(arrivals)),
-    }
 
 
 def _preempt_2k() -> Dict[str, float]:
@@ -294,51 +269,23 @@ def _preempt_2k() -> Dict[str, float]:
     job-level hold/release machinery (slot release, tracker
     re-registration, shuffle re-pump on resume) at trace scale.
     """
-    from ..service import (
-        PreemptConfig,
-        ServiceConfig,
-        bursty_arrivals,
-        sleep_catalog,
-    )
+    from ..service import PreemptConfig
+    from ..service.world import SyntheticArrivals
 
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=moon_policy(True),
-        seed=PERF_SCALE.seeds[0],
-    )
-    system = moon_system(cfg)
-    arrivals = bursty_arrivals(
-        system.sim.rng("service/arrivals"),
-        bursts_per_hour=8.0,
-        burst_size_mean=30.0,
-        horizon=8 * 3600.0,
-        catalog=sleep_catalog(),
-    )
-    report = system.run_service(
-        arrivals,
-        ServiceConfig(
-            policy="edf",
-            max_in_flight=16,
-            max_queue_depth=256,
-            horizon=8 * 3600.0,
-            drain_limit=4 * 3600.0,
-            preempt=PreemptConfig(mode="pause"),
-            admission_prices=True,
+    base = _service2k_spec()
+    return _serve(
+        replace(
+            base,
+            service=replace(
+                base.service,
+                preempt=PreemptConfig(mode="pause"),
+                admission_prices=True,
+            ),
+            arrivals=SyntheticArrivals(**_BURSTY_2K),
         ),
-        pattern="bursty",
+        preempt_actions=lambda report, _s: len(report.preempt_events),
+        pauses=lambda report, _s: report.preempt_counts["pause"],
     )
-    system.jobtracker.stop()
-    system.namenode.stop()
-    counts = report.preempt_counts
-    return {
-        "events": float(system.sim.executed_events),
-        "jobs_done": float(report.overall.completed),
-        "sim_seconds": system.sim.now,
-        "arrivals": float(len(arrivals)),
-        "preempt_actions": float(len(report.preempt_events)),
-        "pauses": float(counts["pause"]),
-    }
 
 
 def _detect_2k() -> Dict[str, float]:
@@ -352,49 +299,19 @@ def _detect_2k() -> Dict[str, float]:
     suspicion layer.
     """
     from ..config import DetectorConfig
-    from ..service import ServiceConfig, poisson_arrivals, sleep_catalog
 
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=moon_policy(True),
-        detector=DetectorConfig(mode="adaptive"),
-        seed=PERF_SCALE.seeds[0],
-    )
-    system = moon_system(cfg)
-    arrivals = poisson_arrivals(
-        system.sim.rng("service/arrivals"),
-        rate_per_hour=250.0,
-        horizon=8 * 3600.0,
-        catalog=sleep_catalog(),
-    )
-    report = system.run_service(
-        arrivals,
-        ServiceConfig(
-            policy="edf",
-            max_in_flight=16,
-            max_queue_depth=256,
-            horizon=8 * 3600.0,
-            drain_limit=4 * 3600.0,
+    base = _service2k_spec()
+    return _serve(
+        replace(
+            base,
+            system=replace(
+                base.system, detector=DetectorConfig(mode="adaptive")
+            ),
         ),
-        pattern="poisson",
+        trips=_metric("detector/trips"),
+        false_positives=_metric("detector/false_positives"),
+        requeues=_metric("detector/suspicion_requeues"),
     )
-    system.jobtracker.stop()
-    system.namenode.stop()
-    metrics = system.obs.metrics
-    return {
-        "events": float(system.sim.executed_events),
-        "jobs_done": float(report.overall.completed),
-        "sim_seconds": system.sim.now,
-        "arrivals": float(len(arrivals)),
-        "trips": float(metrics.counter("detector/trips").value),
-        "false_positives": float(
-            metrics.counter("detector/false_positives").value
-        ),
-        "requeues": float(
-            metrics.counter("detector/suspicion_requeues").value
-        ),
-    }
 
 
 def _recover_2k() -> Dict[str, float]:
@@ -410,55 +327,19 @@ def _recover_2k() -> Dict[str, float]:
     durable-metadata layer.
     """
     from ..config import DfsConfig, JournalConfig
-    from ..service import ServiceConfig, poisson_arrivals, sleep_catalog
 
-    cfg = SystemConfig(
-        cluster=ClusterConfig(n_volatile=30, n_dedicated=3),
-        trace=TraceConfig(unavailability_rate=0.3),
-        scheduler=moon_policy(True),
-        dfs=DfsConfig(
-            journal=JournalConfig(
-                enabled=True,
-                checkpoint_interval=600.0,
-                crash_at=2 * 3600.0,
-            )
-        ),
-        seed=PERF_SCALE.seeds[0],
+    base = _service2k_spec()
+    journal = JournalConfig(
+        enabled=True, checkpoint_interval=600.0, crash_at=2 * 3600.0
     )
-    system = moon_system(cfg)
-    arrivals = poisson_arrivals(
-        system.sim.rng("service/arrivals"),
-        rate_per_hour=250.0,
-        horizon=8 * 3600.0,
-        catalog=sleep_catalog(),
+    return _serve(
+        replace(
+            base, system=replace(base.system, dfs=DfsConfig(journal=journal))
+        ),
+        journal_records=_metric("dfs/journal_records"),
+        checkpoints=_metric("dfs/checkpoints"),
+        replicas_recovered=_metric("dfs/replicas_recovered"),
     )
-    report = system.run_service(
-        arrivals,
-        ServiceConfig(
-            policy="edf",
-            max_in_flight=16,
-            max_queue_depth=256,
-            horizon=8 * 3600.0,
-            drain_limit=4 * 3600.0,
-        ),
-        pattern="poisson",
-    )
-    system.jobtracker.stop()
-    system.namenode.stop()
-    metrics = system.obs.metrics
-    return {
-        "events": float(system.sim.executed_events),
-        "jobs_done": float(report.overall.completed),
-        "sim_seconds": system.sim.now,
-        "arrivals": float(len(arrivals)),
-        "journal_records": float(
-            metrics.counter("dfs/journal_records").value
-        ),
-        "checkpoints": float(metrics.counter("dfs/checkpoints").value),
-        "replicas_recovered": float(
-            metrics.counter("dfs/replicas_recovered").value
-        ),
-    }
 
 
 def scale_stream(
@@ -491,10 +372,10 @@ def scale_stream(
     CI runs this subsampled (see ``.github/workflows/ci.yml``); the
     committed baseline pins the full size.
     """
-    from dataclasses import replace
-
+    from ..core import moon_system
     from ..service import MoonService, ServiceConfig
     from ..service.arrivals import WorkloadClass, poisson_arrivals_vectorised
+    from ..service.world import finish
     from ..workloads import sleep_spec
 
     n_dedicated = min(100, max(1, n_nodes // 100))
@@ -541,9 +422,7 @@ def scale_stream(
         arrivals,
         pattern="poisson",
     )
-    report = service.run()
-    system.jobtracker.stop()
-    system.namenode.stop()
+    report = finish(service)
     return {
         "events": float(system.sim.executed_events),
         "jobs_done": float(report.overall.completed),

@@ -135,49 +135,35 @@ def run_cell(spec: SweepSpec, cell: SweepCell) -> dict:
         TraceConfig,
         moon_scheduler_config,
     )
-    from ..core import moon_system
-    from .arrivals import default_catalog, poisson_arrivals, sleep_catalog
-    from .service import MoonService, ServiceConfig
+    from .service import ServiceConfig
+    from .world import RunSpec, SyntheticArrivals, numbered_tenants, run
 
-    system = moon_system(
-        SystemConfig(
-            cluster=ClusterConfig(
-                n_volatile=spec.n_volatile, n_dedicated=spec.n_dedicated
+    report, _service = run(
+        RunSpec(
+            system=SystemConfig(
+                cluster=ClusterConfig(
+                    n_volatile=spec.n_volatile, n_dedicated=spec.n_dedicated
+                ),
+                trace=TraceConfig(
+                    unavailability_rate=spec.unavailability_rate
+                ),
+                scheduler=moon_scheduler_config(),
+                seed=cell.seed,
             ),
-            trace=TraceConfig(
-                unavailability_rate=spec.unavailability_rate
+            service=ServiceConfig(
+                policy=cell.policy,
+                max_in_flight=spec.max_in_flight,
+                max_queue_depth=spec.max_queue_depth,
+                horizon=spec.hours * 3600.0,
             ),
-            scheduler=moon_scheduler_config(),
-            seed=cell.seed,
+            arrivals=SyntheticArrivals(
+                jobs_per_hour=spec.jobs_per_hour * cell.scale,
+                catalog=spec.catalog,
+                block_mb=spec.block_mb,
+                tenants=numbered_tenants(spec.tenants),
+            ),
         )
     )
-    catalog = (
-        sleep_catalog()
-        if spec.catalog == "sleep"
-        else default_catalog(block_mb=spec.block_mb)
-    )
-    tenants = tuple(f"tenant-{i + 1}" for i in range(spec.tenants))
-    arrivals = poisson_arrivals(
-        system.sim.rng("service/arrivals"),
-        spec.jobs_per_hour * cell.scale,
-        spec.hours * 3600.0,
-        catalog,
-        tenants,
-    )
-    service = MoonService(
-        system,
-        ServiceConfig(
-            policy=cell.policy,
-            max_in_flight=spec.max_in_flight,
-            max_queue_depth=spec.max_queue_depth,
-            horizon=spec.hours * 3600.0,
-        ),
-        arrivals,
-        pattern="poisson",
-    )
-    report = service.run()
-    system.jobtracker.stop()
-    system.namenode.stop()
     return {
         "policy": cell.policy,
         "scale": cell.scale,

@@ -7,9 +7,18 @@ in milliseconds-to-seconds plus the parser surface of the rest.
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import DETECTOR_MODES
+from repro.service import AUTOSCALE_POLICIES, PREEMPT_MODES, QUEUE_POLICIES
+
+SAMPLE = str(
+    pathlib.Path(__file__).parent.parent
+    / "benchmarks" / "data" / "hadoop_jobhistory_sample.json"
+)
 
 
 class TestParser:
@@ -162,11 +171,6 @@ class TestServeCommand:
         assert "autoscale=reactive" in out
         assert "node-hours" in out
 
-    def test_autoscale_all_rejects_policy_all(self, capsys):
-        rc = main(["serve", "--autoscale", "all", "--policy", "all"])
-        assert rc == 2
-        assert "single --policy" in capsys.readouterr().err
-
     def test_small_serve_run(self, capsys):
         rc = main([
             "serve", "--pattern", "poisson", "--policy", "edf",
@@ -205,25 +209,6 @@ class TestReplayCommand:
         rc = main(["replay", "--trace", self._sample(), "--scale", "0"])
         assert rc == 2
         assert "load_factor" in capsys.readouterr().err
-
-    def test_autoscale_rejects_policy_all(self, capsys):
-        rc = main(["replay", "--trace", self._sample(),
-                   "--autoscale", "all", "--policy", "all"])
-        assert rc == 2
-        assert "single --policy" in capsys.readouterr().err
-
-    def test_preempt_all_rejects_conflicting_axes(self, capsys):
-        rc = main(["replay", "--trace", self._sample(),
-                   "--preempt", "all", "--policy", "all"])
-        assert rc == 2
-        assert "--preempt all" in capsys.readouterr().err
-        rc = main(["replay", "--trace", self._sample(),
-                   "--preempt", "all", "--autoscale", "reactive"])
-        assert rc == 2
-        assert "--preempt all" in capsys.readouterr().err
-        rc = main(["serve", "--preempt", "all", "--policy", "all"])
-        assert rc == 2
-        assert "--preempt all" in capsys.readouterr().err
 
     def test_preempt_flag_parses_on_both_commands(self):
         args = build_parser().parse_args(
@@ -327,6 +312,116 @@ class TestReplayCommand:
         rc = main(["replay", "--trace", str(out)])
         assert rc == 0
         assert "service report" in capsys.readouterr().out
+
+
+class TestComparisonCells:
+    """serve/replay run the product of their comparison axes: every
+    cell of an 'all' run is the same cell run alone, any two 'all'
+    axes compose, and a sweep cell is a serve run."""
+
+    SERVE = [
+        "serve", "--pattern", "bursty", "--jobs-per-hour", "60",
+        "--hours", "0.5", "--volatile", "4", "--dedicated", "1",
+        "--max-in-flight", "2",
+    ]
+    REPLAY = [
+        "replay", "--trace", SAMPLE, "--scale", "3", "--volatile", "6",
+        "--dedicated", "1", "--max-in-flight", "2",
+    ]
+
+    @staticmethod
+    def _out(capsys, argv) -> str:
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("axis, values", [
+        ("--policy", QUEUE_POLICIES),
+        ("--autoscale", AUTOSCALE_POLICIES),
+        ("--preempt", PREEMPT_MODES),
+        ("--detector", DETECTOR_MODES),
+    ])
+    def test_all_run_prints_each_cell_as_run_alone(
+        self, capsys, axis, values
+    ):
+        base = self.REPLAY if axis == "--detector" else self.SERVE
+        if axis != "--policy":
+            base = base + ["--policy", "edf"]
+        together = self._out(capsys, base + [axis, "all"])
+        alone = [self._out(capsys, base + [axis, v]) for v in values]
+        # A replay opens with the trace summary; the cells follow in
+        # axis order, then the comparison table.
+        header = together[: together.index("service report")]
+        assert all(out.startswith(header) for out in alone)
+        cells = "".join(out[len(header):] for out in alone)
+        assert together.startswith(header + cells)
+        table = together[len(header + cells):]
+        assert " comparison - " in table.splitlines()[0]
+        assert table.count("\n") == len(values) + 3
+
+    def test_two_all_axes_compose_in_canonical_order(self, tmp_path,
+                                                     capsys):
+        import itertools
+        import json
+
+        path = tmp_path / "cells.json"
+        out = self._out(capsys, self.SERVE + [
+            "--preempt", "all", "--detector", "all", "--json", str(path),
+        ])
+        reports = json.loads(path.read_text())["reports"]
+        cells = list(itertools.product(PREEMPT_MODES, DETECTOR_MODES))
+        assert len(reports) == len(cells) == 9
+        lines = out.rstrip("\n").splitlines()
+        title, header = lines[-len(cells) - 3], lines[-len(cells) - 2]
+        assert title == (
+            "preemption x detector comparison - bursty arrivals, "
+            "fifo queue"
+        )
+        # One key column per 'all' axis, then the summary columns and
+        # both features' extension columns.
+        assert header.split()[:3] == ["preempt", "detector", "done"]
+        assert "pauses" in header and "false+" in header
+        rows = [line.split()[:2] for line in lines[-len(cells):]]
+        assert rows == [list(cell) for cell in cells]
+
+    def test_autoscale_all_composes_with_policy_all(self, capsys):
+        out = self._out(capsys, self.SERVE + [
+            "--autoscale", "all", "--policy", "all",
+        ])
+        assert out.count("service report") == 12
+        assert (
+            "autoscale-policy x queue-policy comparison - bursty "
+            "arrivals (D1, bounds 1..2)" in out
+        )
+
+    @pytest.mark.parametrize("command", ["serve", "replay"])
+    def test_autoscaled_run_prints_the_preempt_audit(self, capsys,
+                                                     command):
+        argv = self.SERVE if command == "serve" else self.REPLAY
+        out = self._out(capsys, argv + [
+            "--autoscale", "reactive", "--preempt", "pause",
+        ])
+        assert "autoscale=reactive" in out
+        assert "preemption audit\n" in out
+
+    def test_sweep_cell_equals_serve_json(self, tmp_path, capsys):
+        import json
+
+        from repro.service import SweepCell, SweepSpec
+        from repro.service.sweep import run_cell
+
+        spec = SweepSpec(
+            policies=("edf",), jobs_per_hour=12.0, hours=0.5,
+            n_volatile=8, n_dedicated=2, catalog="sleep",
+        )
+        cell = run_cell(spec, SweepCell("edf", 1.0, 7))
+        path = tmp_path / "serve.json"
+        self._out(capsys, [
+            "serve", "--policy", "edf", "--jobs-per-hour", "12",
+            "--hours", "0.5", "--volatile", "8", "--dedicated", "2",
+            "--catalog", "sleep", "--seed", "7", "--json", str(path),
+        ])
+        (served,) = json.loads(path.read_text())["reports"]
+        assert cell["report"] == served
 
 
 class TestObsFlags:

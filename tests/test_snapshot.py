@@ -36,6 +36,9 @@ from repro.workloads import sleep_spec
 
 HOUR = 3600.0
 
+#: Marks an envelope field the forged payload leaves out.
+_MISSING = object()
+
 
 def build_service(
     seed=7,
@@ -190,23 +193,44 @@ class TestCli:
         "--volatile", "6", "--dedicated", "2", "--policy", "fifo",
     ]
 
-    def test_serve_checkpoint_then_resume_matches(self, tmp_path, capsys):
+    def _checkpoint_then_resume(self, tmp_path, capsys, extra=()):
         from repro.cli.main import main
 
         snap = tmp_path / "svc.snap"
-        rc = main(self.SERVE + ["--checkpoint", str(snap),
-                                "--checkpoint-at", "300"])
+        rc = main(self.SERVE + list(extra) + ["--checkpoint", str(snap),
+                                              "--checkpoint-at", "300"])
         assert rc == 0
         straight = capsys.readouterr().out.split("checkpoint written")[1]
         straight = straight.split("\n", 1)[1]
         rc = main(["resume", str(snap)])
         assert rc == 0
         assert capsys.readouterr().out == straight
+        return straight
+
+    def test_serve_checkpoint_then_resume_matches(self, tmp_path, capsys):
+        self._checkpoint_then_resume(tmp_path, capsys)
+
+    def test_autoscaled_checkpoint_then_resume_matches(self, tmp_path,
+                                                       capsys):
+        # One autoscaled cell is one cell: it checkpoints like any other.
+        out = self._checkpoint_then_resume(
+            tmp_path, capsys, ["--autoscale", "reactive"]
+        )
+        assert "autoscale=reactive" in out
 
     def test_checkpoint_flags_go_together(self, capsys):
         from repro.cli.main import main
 
         assert main(self.SERVE + ["--checkpoint-at", "300"]) == 2
+
+    def test_checkpoint_needs_exactly_one_cell(self, tmp_path, capsys):
+        from repro.cli.main import main
+
+        snap = tmp_path / "svc.snap"
+        assert main(self.SERVE + ["--policy", "all", "--checkpoint",
+                                  str(snap), "--checkpoint-at", "300"]) == 2
+        assert "exactly one cell" in capsys.readouterr().err
+        assert not snap.exists()
 
     def test_resume_until_requires_checkpoint(self, tmp_path):
         from repro.cli.main import main
@@ -222,6 +246,25 @@ class TestCli:
         bad = tmp_path / "junk.snap"
         bad.write_bytes(b"not a snapshot")
         assert main(["resume", str(bad)]) == 2
+
+    def test_resume_forged_envelope_is_exit_2(self, tmp_path):
+        from repro.cli.main import main
+
+        forged = tmp_path / "forged.snap"
+        forged.write_bytes(
+            _MAGIC + pickle.dumps({"version": SNAPSHOT_VERSION})
+        )
+        assert main(["resume", str(forged)]) == 2
+
+    def test_resume_non_service_root_is_exit_2(self, tmp_path, capsys):
+        # save_snapshot accepts a bare MoonSystem root; resume serves a
+        # stream and needs the MoonService around it.
+        from repro.cli.main import main
+
+        snap = tmp_path / "system.snap"
+        save_snapshot(build_service().system, str(snap))
+        assert main(["resume", str(snap)]) == 2
+        assert "MoonService" in capsys.readouterr().err
 
 
 class TestEnvelope:
@@ -242,6 +285,60 @@ class TestEnvelope:
 
         with pytest.raises(SnapshotError, match="version"):
             restore_bytes(data)
+
+    @staticmethod
+    def _envelope(**fields):
+        payload = {"version": SNAPSHOT_VERSION, "root": None,
+                   "counters": {}}
+        payload.update(fields)
+        return _MAGIC + pickle.dumps(
+            {k: v for k, v in payload.items() if v is not _MISSING}
+        )
+
+    def test_envelope_without_counters_rejected(self):
+        from repro.core import restore_bytes
+
+        with pytest.raises(SnapshotError, match="counters"):
+            restore_bytes(self._envelope(counters=_MISSING))
+
+    def test_envelope_with_non_dict_counters_rejected(self):
+        from repro.core import restore_bytes
+
+        with pytest.raises(SnapshotError, match="counters"):
+            restore_bytes(self._envelope(counters=[1, 2]))
+
+    def test_envelope_without_root_rejected(self):
+        from repro.core import restore_bytes
+
+        with pytest.raises(SnapshotError, match="root"):
+            restore_bytes(self._envelope(root=_MISSING))
+
+    def test_non_counter_value_rejected(self):
+        from repro.core import restore_bytes
+
+        with pytest.raises(SnapshotError, match="id counter"):
+            restore_bytes(self._envelope(counters={"mapreduce.Job": 5}))
+
+    def test_rejected_envelope_leaves_counters_untouched(self):
+        import itertools
+
+        from repro.core import restore_bytes
+        from repro.mapreduce.job import Job
+        from repro.net.base import Transfer
+
+        before = (Job._ids, Transfer._ids)
+        forged = {"mapreduce.Job": itertools.count(10**9)}
+        for data in (
+            # A good counter ahead of a bad one, and good counters with
+            # no root: neither may leak into the process.
+            self._envelope(counters={**forged, "bogus.Thing": 0}),
+            self._envelope(counters={
+                **forged, "net.Transfer": itertools.count(10**9)
+            }, root=_MISSING),
+        ):
+            with pytest.raises(SnapshotError):
+                restore_bytes(data)
+            assert (Job._ids, Transfer._ids) == before
 
     def test_unpicklable_graph_is_a_loud_error(self):
         svc = build_service()
