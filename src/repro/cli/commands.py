@@ -554,6 +554,13 @@ def cmd_resume(args) -> int:
         )
         return 2
     if args.until is not None:
+        if args.until < service.sim.now:
+            log.error(
+                "--until %.1f is behind the snapshot's clock t=%.1fs: a "
+                "resumed world only moves forward",
+                args.until, service.sim.now,
+            )
+            return 2
         drained = service.advance(args.until)
         save_snapshot(service, args.checkpoint)
         print(

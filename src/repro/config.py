@@ -187,14 +187,6 @@ class DfsConfig:
     client_read_timeout: float = 15.0
     #: Re-replication work issued per NameNode scan (anti-storm cap).
     max_replications_per_scan: int = 40
-    #: Pre-plan the next block's pipeline while the current block
-    #: streams, overlapping NameNode allocation with data transfer the
-    #: way HDFS clients do.  Off by default: pre-planning samples
-    #: cluster state and the placement RNG earlier, which legitimately
-    #: shifts placements — goldens and the perf baselines pin the
-    #: plan-per-block behaviour.  Stale pre-plans (a target dying
-    #: between plan and use) take the normal pipeline-failure path.
-    preplan_writes: bool = False
     #: Durable-metadata layer (off for the paper figures).
     journal: JournalConfig = field(default_factory=JournalConfig)
 

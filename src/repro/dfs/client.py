@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 from ..errors import BlockUnavailable, DfsError, WriteDeclined
 from .namenode import NameNode
-from .placement import WritePlan
 from .types import BlockInfo, FileInfo, FileKind, ReplicationFactor
 
 OnDone = Callable[[], None]
@@ -50,9 +49,6 @@ class WriteOp:
         self.on_fail = on_fail
         self.block_index = 0
         self.cancelled = False
-        #: Plan allocated ahead of time for the next block (when
-        #: ``preplan_writes`` is on): ``(block, plan)``.
-        self._next_plan: Optional[Tuple[BlockInfo, WritePlan]] = None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -62,22 +58,8 @@ class WriteOp:
         """Abandon the write (task killed); replicas already registered
         stay in the namespace until the file is deleted."""
         self.cancelled = True
-        self._next_plan = None
 
     # ------------------------------------------------------------------
-    def _take_plan(self, block: BlockInfo) -> WritePlan:
-        """Consume the pre-allocated plan for ``block`` if one exists and
-        still names at least one target; otherwise plan now.  An empty
-        pre-plan (the cluster had no room when it was drawn) is dropped
-        rather than failing a write the current cluster could serve."""
-        staged = self._next_plan
-        self._next_plan = None
-        if staged is not None and staged[0] is block and staged[1].targets:
-            return staged[1]
-        return self.client.namenode.placement.plan_write(
-            self.file, block, self.client_node
-        )
-
     def _next_block(self) -> None:
         if self.cancelled:
             return
@@ -86,7 +68,9 @@ class WriteOp:
             return
         block = self.file.blocks[self.block_index]
         self.block_index += 1
-        plan = self._take_plan(block)
+        plan = self.client.namenode.placement.plan_write(
+            self.file, block, self.client_node
+        )
         if plan.adjusted_volatile is not None:
             self.client.namenode.set_adjusted_volatile(
                 self.file, plan.adjusted_volatile
@@ -98,21 +82,6 @@ class WriteOp:
                 )
             )
             return
-        if (
-            self.client.namenode.config.preplan_writes
-            and self.block_index < len(self.file.blocks)
-        ):
-            # Overlap the next allocation with this block's streaming.
-            # The plan is allowed to go stale: targets that die before
-            # it is used fail through the pipeline's normal skip path,
-            # so replica maps still reflect the races.
-            nxt = self.file.blocks[self.block_index]
-            self._next_plan = (
-                nxt,
-                self.client.namenode.placement.plan_write(
-                    self.file, nxt, self.client_node
-                ),
-            )
         self._pipeline(block, plan.targets, plan.dedicated_declined, 0, None)
 
     def _pipeline(

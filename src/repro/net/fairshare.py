@@ -16,8 +16,8 @@ channel-user maps and re-fills in isolation — O(component) per change
 instead of rebuilding all flow/channel state.  Within a component the
 fill visits channels in the same relative order as a full rebuild
 would, so the incremental allocation is *bitwise* identical to the
-full recompute (``incremental=False`` keeps the full path alive as the
-oracle for the equivalence property test).
+full recompute.  The full-recompute oracle for the equivalence
+property test lives in ``tests/test_net_fairshare_incremental.py``.
 
 Everything that iterates flows walks insertion-ordered dicts, never
 id-hashed sets: completion and abort order feed the event queue, and
@@ -53,17 +53,11 @@ class _Flow:
 class FairShareNetwork(NetworkModel):
     """See module docstring."""
 
-    def __init__(
-        self,
-        sim: Simulation,
-        disk_fraction: float = 1.0,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, sim: Simulation, disk_fraction: float = 1.0) -> None:
         super().__init__(sim)
         if not 0.0 <= disk_fraction <= 1.0:
             raise NetworkError("disk_fraction must be in [0, 1]")
         self._disk_fraction = disk_fraction
-        self._incremental = incremental
         self._flows: Dict[_Flow, None] = {}
         #: channel -> its current flows (insertion-ordered).
         self._users: Dict[ChannelKey, Dict[_Flow, None]] = {}
@@ -246,10 +240,7 @@ class FairShareNetwork(NetworkModel):
 
     def _refill(self, changed_channels: Iterable[ChannelKey]) -> None:
         """Re-run progressive filling where the change can matter."""
-        if self._incremental:
-            affected = self._component(changed_channels)
-        else:
-            affected = list(self._flows)
+        affected = self._component(changed_channels)
         if affected:
             self._water_fill(affected)
 

@@ -350,7 +350,7 @@ def scale_stream(
     """Service-scale stress: an ``n_nodes``-node cluster serving a
     day-long Poisson stream (defaults: 10k nodes, ~1M jobs over 24h).
 
-    This is the engine-scale-out checksum: batched dispatch, the
+    This is the engine-scale-out checksum: the dispatch loop, the
     vectorised arrival sampler, the candidacy-indexed assignment walk
     and the busy-tracker registry all run at their design scale.  The
     configuration keeps per-event cost independent of cluster size on

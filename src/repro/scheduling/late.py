@@ -75,9 +75,9 @@ class LateScheduler(SchedulerPolicy):
           only on subset change is byte-identical to the per-slot
           recompute (same inputs, same arithmetic).
 
-        ``_ranked_by_time_left_reference`` below is the original
-        unmemoised computation; the pinning test drives both over the
-        same cluster and asserts identical decisions.
+        ``tests/test_late_memo.py`` keeps the original unmemoised
+        computation as its reference, drives both over the same
+        cluster and asserts identical decisions.
         """
         running = [
             t
@@ -122,32 +122,3 @@ class LateScheduler(SchedulerPolicy):
         ranked = sorted(slow, key=lambda t: (-time_left(t), t.index))
         self._memo[rank_key] = ranked
         return ranked
-
-    def _ranked_by_time_left_reference(
-        self, job: Job, task_type: TaskType, tracker: TaskTracker
-    ) -> List[Task]:
-        """The original per-slot recompute (no memoisation): the
-        equivalence oracle for ``tests/test_late_memo.py``."""
-        running = [
-            t
-            for t in job.running_tasks(task_type)
-            if not t.complete
-            and t.live_attempts()
-            and self.under_per_task_cap(t)
-            and self.can_host(t, tracker)
-        ]
-        if not running:
-            return []
-        rates = {t.task_id: self._rate(t) for t in running}
-        threshold = float(
-            np.percentile(list(rates.values()), SLOW_TASK_PERCENTILE)
-        )
-        slow = [t for t in running if rates[t.task_id] <= threshold]
-
-        def time_left(t: Task) -> float:
-            r = rates[t.task_id]
-            if r <= 0:
-                return float("inf")
-            return (1.0 - t.best_progress()) / r
-
-        return sorted(slow, key=lambda t: (-time_left(t), t.index))

@@ -30,7 +30,6 @@ from .arrivals import (
     default_catalog,
     diurnal_arrivals,
     poisson_arrivals,
-    poisson_arrivals_reference,
     poisson_arrivals_vectorised,
     replay_arrivals,
     sleep_catalog,
@@ -84,7 +83,6 @@ __all__ = [
     "default_catalog",
     "sleep_catalog",
     "poisson_arrivals",
-    "poisson_arrivals_reference",
     "poisson_arrivals_vectorised",
     "bursty_arrivals",
     "diurnal_arrivals",

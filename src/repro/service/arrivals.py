@@ -306,10 +306,10 @@ def poisson_arrivals_vectorised(
     block, on **two dedicated streams** (gaps vs picks) so each stays
     homogeneous and batchable.
 
-    Determinism contract: byte-identical to
-    :func:`poisson_arrivals_reference` — the scalar loop over the same
-    two streams — for every ``block`` size.
-    ``tests/test_sampling.py`` pins this with hypothesis.  The output
+    Determinism contract: byte-identical to the scalar loop over the
+    same two streams (one gap, then the class and tenant picks, per
+    arrival) for every ``block`` size.  ``tests/test_sampling.py`` keeps
+    that loop as its reference and pins this with hypothesis.  The output
     deliberately differs from :func:`poisson_arrivals` (one interleaved
     stream), whose draws the goldens pin; pick one builder per study
     and keep it.
@@ -352,44 +352,6 @@ def poisson_arrivals_vectorised(
         t = times[i]
         deadline = None if cls.slo_seconds is None else t + cls.slo_seconds
         out.append(JobArrival(t, tenants[int(ten_idx[i])], cls.spec, deadline))
-    return out
-
-
-def poisson_arrivals_reference(
-    gap_rng: np.random.Generator,
-    pick_rng: np.random.Generator,
-    rate_per_hour: float,
-    horizon: float,
-    catalog: Optional[Sequence[WorkloadClass]] = None,
-    tenants: Sequence[str] = DEFAULT_TENANTS,
-    tenant_weights: Optional[Dict[str, float]] = None,
-) -> List[JobArrival]:
-    """Scalar equivalence oracle for :func:`poisson_arrivals_vectorised`:
-    one draw at a time from the same two streams, same arithmetic."""
-    if rate_per_hour <= 0 or horizon <= 0:
-        raise ConfigError("rate_per_hour and horizon must be positive")
-    catalog = list(catalog) if catalog is not None else default_catalog()
-    _validated(catalog, tenants)
-    cum_class = np.cumsum(_class_weights(catalog))
-    cum_tenant = np.cumsum(_tenant_weights(tenants, tenant_weights))
-    mean_gap = HOUR / rate_per_hour
-    out: List[JobArrival] = []
-    t = 0.0
-    while True:
-        t = t + mean_gap * float(gap_rng.standard_exponential())
-        if t >= horizon:
-            break
-        ci = min(
-            int(np.searchsorted(cum_class, pick_rng.random(), side="right")),
-            len(catalog) - 1,
-        )
-        ti = min(
-            int(np.searchsorted(cum_tenant, pick_rng.random(), side="right")),
-            len(tenants) - 1,
-        )
-        cls = catalog[ci]
-        deadline = None if cls.slo_seconds is None else t + cls.slo_seconds
-        out.append(JobArrival(t, tenants[ti], cls.spec, deadline))
     return out
 
 

@@ -18,6 +18,12 @@ scheduler/periodic     20
 
 Keeping node state changes first guarantees that anything observing the
 cluster at time *t* sees the availability that holds *at* t.
+
+There is one dispatch loop, :meth:`Simulation.run`, which pops and
+executes one event at a time; :meth:`Simulation.step` executes a single
+event through the same ``_dispatch`` (trace hook, profiler slot,
+executed-event count).  The clock only moves forward: scheduling in the
+past and ``run(until=...)`` behind the clock both raise.
 """
 
 from __future__ import annotations
@@ -47,12 +53,6 @@ class Simulation:
         self._rng = RngRegistry(seed)
         self._running = False
         self._executed = 0
-        #: Default dispatch mode for :meth:`run`.  Batched dispatch
-        #: drains every event sharing ``(time, priority)`` in one heap
-        #: pass; it is proven event-checksum-identical to the
-        #: sequential loop (``tests/test_batched_dispatch.py``), which
-        #: stays available via ``run(batch=False)`` as the reference.
-        self.batch_dispatch = True
         #: Observability bundle (tracer/metrics/profiler) — falls back
         #: to the ambient default installed by
         #: :func:`repro.obs.default_observability`, else a fresh
@@ -141,8 +141,8 @@ class Simulation:
     def _dispatch(self, event: Event) -> None:
         """Execute one popped event: trace hook, profiler bracketing
         and the executed-events count.  The single dispatch path shared
-        by :meth:`run` (both modes) and :meth:`step`, so every consumer
-        sees identical accounting.
+        by :meth:`run` and :meth:`step`, so every consumer sees
+        identical accounting.
 
         The wall-clock profiler sits outside the determinism boundary:
         when armed, each callback is bracketed with perf_counter, but
@@ -168,7 +168,6 @@ class Simulation:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
         stop_when: Optional[Callable[[], bool]] = None,
-        batch: Optional[bool] = None,
     ) -> float:
         """Run events until the queue drains, ``until`` is reached, a
         ``stop_when`` predicate returns true, or ``max_events`` fire.
@@ -177,137 +176,51 @@ class Simulation:
         soon as only daemon events remain — otherwise self-re-arming
         infrastructure (heartbeats, periodic scans) would spin forever.
 
-        ``batch`` selects the dispatch mode (default: the simulation's
-        :attr:`batch_dispatch`).  Batched mode pops every event sharing
-        ``(time, priority)`` in one heap drain; ``batch=False`` is the
-        sequential reference loop the property suite compares against.
+        ``until`` behind the clock is an error, the same rule
+        :meth:`call_at` applies to past times: the clock never moves
+        backwards.
 
         Returns the simulated time at which the run stopped.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
-        if batch is None:
-            batch = self.batch_dispatch
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until the past: {until:.3f} < now {self._now:.3f}"
+            )
         self._running = True
         try:
-            if batch:
-                return self._run_batched(until, max_events, stop_when)
-            return self._run_sequential(until, max_events, stop_when)
+            fired = 0
+            # The dispatch loop runs hundreds of thousands of times per
+            # experiment: bind the queue internals once instead of
+            # paying attribute/property chains per event.
+            queue = self._queue
+            peek = queue.peek_time
+            pop = queue.pop
+            dispatch = self._dispatch
+            while queue._live:
+                if until is None and queue._live_foreground == 0:
+                    break
+                if stop_when is not None and stop_when():
+                    break
+                next_time = peek()
+                if next_time is None:
+                    break
+                if until is not None and next_time > until:
+                    self._now = until
+                    break
+                event = pop()
+                self._now = event.time
+                dispatch(event)
+                fired += 1
+                if max_events is not None and fired >= max_events:
+                    break
+            else:
+                if until is not None and until > self._now:
+                    self._now = until
+            return self._now
         finally:
             self._running = False
-
-    def _run_sequential(self, until, max_events, stop_when) -> float:
-        fired = 0
-        # The dispatch loop runs hundreds of thousands of times per
-        # experiment: bind the queue internals once instead of paying
-        # attribute/property chains per event.
-        queue = self._queue
-        peek = queue.peek_time
-        pop = queue.pop
-        dispatch = self._dispatch
-        while queue._live:
-            if until is None and queue._live_foreground == 0:
-                break
-            if stop_when is not None and stop_when():
-                break
-            next_time = peek()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self._now = until
-                break
-            event = pop()
-            self._now = event.time
-            dispatch(event)
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                break
-        else:
-            if until is not None and until > self._now:
-                self._now = until
-        return self._now
-
-    def _run_batched(self, until, max_events, stop_when) -> float:
-        """Batched same-instant dispatch.
-
-        Equivalence with the sequential loop hinges on three rules:
-
-        * a push that sorts *before* the executing batch key sets the
-          queue's preempted flag — the unexecuted remainder goes back
-          on the heap (original keys, so original order) and the outer
-          loop re-peeks, exactly like the per-event re-peek would;
-        * the sequential loop's pre-pop checks (daemon-idle,
-          ``stop_when``) re-run between batch items, with the popped
-          remainder counted as still queued for the daemon-idle test;
-        * events cancelled by an earlier item in the same batch are
-          skipped, matching lazy deletion on pop.
-        """
-        fired = 0
-        queue = self._queue
-        peek_key = queue.peek_key
-        pop_batch = queue.pop_batch
-        dispatch = self._dispatch
-        while queue._live:
-            if until is None and queue._live_foreground == 0:
-                break
-            if stop_when is not None and stop_when():
-                break
-            key = peek_key()
-            if key is None:
-                break
-            if until is not None and key[0] > until:
-                self._now = until
-                break
-            events = pop_batch()
-            self._now = key[0]
-            queue.begin_batch(key)
-            i = 0
-            n = len(events)
-            executed_any = False
-            stop = False
-            try:
-                while i < n:
-                    event = events[i]
-                    if event.cancelled:
-                        i += 1
-                        continue
-                    if executed_any:
-                        # Re-run the sequential loop's pre-pop checks.
-                        # For the daemon-idle test the unexecuted
-                        # remainder (events[i:]) still counts as
-                        # queued, because sequentially it would be.
-                        if until is None and queue._live_foreground == 0:
-                            fg_left = sum(
-                                1
-                                for ev in events[i:]
-                                if not ev.daemon and not ev.cancelled
-                            )
-                            if fg_left == 0:
-                                stop = True
-                                break
-                        if stop_when is not None and stop_when():
-                            stop = True
-                            break
-                    dispatch(event)
-                    executed_any = True
-                    fired += 1
-                    i += 1
-                    if max_events is not None and fired >= max_events:
-                        stop = True
-                        break
-                    if queue._batch_preempted:
-                        break
-            finally:
-                queue.end_batch()
-                for ev in events[i:]:
-                    if not ev.cancelled:
-                        queue.requeue(ev)
-            if stop:
-                break
-        else:
-            if until is not None and until > self._now:
-                self._now = until
-        return self._now
 
     def step(self) -> bool:
         """Execute exactly one event through the same dispatch path as

@@ -24,14 +24,18 @@ Performance notes (this is the innermost loop of every experiment):
   dead) and is skipped on pop, with a compaction pass once dead
   entries outnumber live ones, so cancel is O(1) and the heap cannot
   grow without bound under heavy cancel traffic (retry storms,
-  speculative-copy kills).
+  speculative-copy kills);
+* the engine pops one event at a time (``peek_time`` then ``pop``):
+  popping a whole same-instant ``(time, priority)`` batch per heap
+  pass measured no faster end to end
+  (docs/ARCHITECTURE.md#engine-scale-out).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
 
@@ -105,13 +109,6 @@ class EventQueue:
         self._live_foreground = 0
         #: Cancelled entries still sitting in the heap.
         self._dead = 0
-        #: ``(time, priority)`` of the batch the engine is currently
-        #: executing, or ``None`` outside batched dispatch.  While set,
-        #: a push that sorts *before* this key raises the preempted
-        #: flag so the engine hands control back to the heap — exactly
-        #: what the sequential loop's per-event re-peek would do.
-        self._batch_key: Optional[Tuple[float, int]] = None
-        self._batch_preempted = False
 
     def __len__(self) -> int:
         return self._live
@@ -156,8 +153,6 @@ class EventQueue:
         self._live += 1
         if not daemon:
             self._live_foreground += 1
-        if self._batch_key is not None and (time, priority) < self._batch_key:
-            self._batch_preempted = True
         return event
 
     def pop(self) -> Event:
@@ -179,71 +174,3 @@ class EventQueue:
             heapq.heappop(heap)
             self._dead -= 1
         return heap[0][0] if heap else None
-
-    def peek_key(self) -> Optional[Tuple[float, int]]:
-        """``(time, priority)`` of the next live event, or ``None``."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-            self._dead -= 1
-        if not heap:
-            return None
-        head = heap[0]
-        return (head[0], head[1])
-
-    def pop_batch(self) -> List[Event]:
-        """Pop every live event sharing the earliest ``(time, priority)``.
-
-        Events come out in ``seq`` order — the exact order the
-        sequential loop would pop them one at a time.  The caller owns
-        dispatch; items it does not execute (early stop, preemption by
-        a lower-key push) must go back via :meth:`requeue`.
-        """
-        heap = self._heap
-        batch: List[Event] = []
-        time = 0.0
-        priority = 0
-        while heap:
-            entry = heapq.heappop(heap)
-            event = entry[3]
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            self._note_removed(event)
-            batch.append(event)
-            time = entry[0]
-            priority = entry[1]
-            break
-        if not batch:
-            raise SimulationError("pop from empty event queue")
-        while heap and heap[0][0] == time and heap[0][1] == priority:
-            event = heapq.heappop(heap)[3]
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            self._note_removed(event)
-            batch.append(event)
-        return batch
-
-    def requeue(self, event: Event) -> None:
-        """Put back a popped-but-unexecuted live event.
-
-        The original ``(time, priority, seq)`` key is preserved, so a
-        requeued batch remainder sorts exactly where the sequential
-        loop would have found it — before anything pushed later.
-        """
-        heapq.heappush(
-            self._heap, (event.time, event.priority, event.seq, event)
-        )
-        event._in_queue = True
-        self._live += 1
-        if not event.daemon:
-            self._live_foreground += 1
-
-    def begin_batch(self, key: Tuple[float, int]) -> None:
-        self._batch_key = key
-        self._batch_preempted = False
-
-    def end_batch(self) -> None:
-        self._batch_key = None
-        self._batch_preempted = False

@@ -17,7 +17,7 @@ from .base import (
     JobSpec,
     scaled,
 )
-from .generator import random_spec, random_specs
+from .generator import random_spec
 from .grep import grep_spec
 from .sleep import sleep_like_sort, sleep_like_wordcount, sleep_spec
 from .sort import sort_spec
@@ -33,7 +33,6 @@ __all__ = [
     "sleep_like_wordcount",
     "grep_spec",
     "random_spec",
-    "random_specs",
     "MOON_RELIABLE_RF",
     "MOON_INTERMEDIATE_RF",
     "HADOOP_VO_RF",

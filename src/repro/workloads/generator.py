@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..dfs import ReplicationFactor
@@ -33,87 +31,3 @@ def random_spec(rng: np.random.Generator, max_maps: int = 64) -> JobSpec:
     )
     spec.validate()
     return spec
-
-
-def random_specs(
-    rng: np.random.Generator, n: int, max_maps: int = 64
-) -> List[JobSpec]:
-    """``n`` random jobs with every field drawn as one numpy batch.
-
-    Field-major draw order (all map counts, then all reduce counts,
-    then names, then the six duration/size uniforms spec-major, then
-    the replication integers): byte-identical to
-    :func:`_random_specs_scalar`, the one-draw-at-a-time reference over
-    the same stream, pinned by ``tests/test_sampling.py``.  The order
-    deliberately differs from ``n`` calls to :func:`random_spec`
-    (spec-major), which stays untouched for existing consumers.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return []
-    n_maps = rng.integers(1, max_maps + 1, size=n)
-    n_reduces = rng.integers(0, np.maximum(1, n_maps // 2) + 1)
-    names = rng.integers(1e9, size=n)
-    u = rng.random(size=(n, 6))
-    rf = rng.integers(
-        [0, 1, 0, 1, 0, 1], [2, 4, 2, 3, 2, 4], size=(n, 6)
-    )
-    specs: List[JobSpec] = []
-    for i in range(n):
-        spec = JobSpec(
-            name=f"random-{names[i]}",
-            n_maps=int(n_maps[i]),
-            n_reduces=max(1, int(n_reduces[i])),
-            map_input_mb=float(1.0 + (64.0 - 1.0) * u[i, 0]),
-            map_output_mb=float(0.1 + (64.0 - 0.1) * u[i, 1]),
-            reduce_output_mb=float(0.0 + (64.0 - 0.0) * u[i, 2]),
-            map_cpu_seconds=float(1.0 + (60.0 - 1.0) * u[i, 3]),
-            reduce_cpu_seconds=float(1.0 + (30.0 - 1.0) * u[i, 4]),
-            sort_seconds_per_mb=float(0.0 + (0.05 - 0.0) * u[i, 5]),
-            input_rf=ReplicationFactor(int(rf[i, 0]), int(rf[i, 1])),
-            intermediate_rf=ReplicationFactor(int(rf[i, 2]), int(rf[i, 3])),
-            output_rf=ReplicationFactor(int(rf[i, 4]), int(rf[i, 5])),
-        )
-        spec.validate()
-        specs.append(spec)
-    return specs
-
-
-def _random_specs_scalar(
-    rng: np.random.Generator, n: int, max_maps: int = 64
-) -> List[JobSpec]:
-    """Scalar equivalence oracle for :func:`random_specs`: the same
-    field-major order, one Generator call per value."""
-    if n == 0:
-        return []
-    n_maps = [int(rng.integers(1, max_maps + 1)) for _ in range(n)]
-    n_reduces = [
-        int(rng.integers(0, max(1, m // 2) + 1)) for m in n_maps
-    ]
-    names = [int(rng.integers(1e9)) for _ in range(n)]
-    u = [[float(rng.random()) for _ in range(6)] for _ in range(n)]
-    rf_bounds = [(0, 2), (1, 4), (0, 2), (1, 3), (0, 2), (1, 4)]
-    rf = [
-        [int(rng.integers(lo, hi)) for (lo, hi) in rf_bounds]
-        for _ in range(n)
-    ]
-    specs: List[JobSpec] = []
-    for i in range(n):
-        spec = JobSpec(
-            name=f"random-{names[i]}",
-            n_maps=n_maps[i],
-            n_reduces=max(1, n_reduces[i]),
-            map_input_mb=float(1.0 + (64.0 - 1.0) * u[i][0]),
-            map_output_mb=float(0.1 + (64.0 - 0.1) * u[i][1]),
-            reduce_output_mb=float(0.0 + (64.0 - 0.0) * u[i][2]),
-            map_cpu_seconds=float(1.0 + (60.0 - 1.0) * u[i][3]),
-            reduce_cpu_seconds=float(1.0 + (30.0 - 1.0) * u[i][4]),
-            sort_seconds_per_mb=float(0.0 + (0.05 - 0.0) * u[i][5]),
-            input_rf=ReplicationFactor(rf[i][0], rf[i][1]),
-            intermediate_rf=ReplicationFactor(rf[i][2], rf[i][3]),
-            output_rf=ReplicationFactor(rf[i][4], rf[i][5]),
-        )
-        spec.validate()
-        specs.append(spec)
-    return specs

@@ -71,6 +71,34 @@ class TestWritePipeline:
         assert all(len(b.replicas) == 2 for b in f.blocks)
         assert done == [1]
 
+    def test_sequential_block_planning(self, sim):
+        """Each block's pipeline is planned only after the previous
+        block's pipeline finished: plan times strictly increase."""
+        _, _, nn = build(sim)
+        calls = []
+        original = nn.placement.plan_write
+
+        def recording(file, block, client_node, exclude=()):
+            calls.append((nn.sim.now, block.block_id))
+            return original(file, block, client_node, exclude)
+
+        nn.placement.plan_write = recording
+        done = []
+        DfsClient(nn).write_file(
+            "/big", 200.0, FileKind.RELIABLE, RF11, 3,
+            on_complete=lambda: done.append(1),
+            on_fail=lambda e: pytest.fail(str(e)),
+            block_size_mb=64.0,
+        )
+        sim.run()
+        assert done == [1]
+        times = [t for t, _ in calls]
+        assert len(calls) == 4
+        assert all(a < b for a, b in zip(times, times[1:]))
+        assert [b for _, b in calls] == [
+            b.block_id for b in nn.file("/big").blocks
+        ]
+
     def test_pipeline_survives_mid_target_failure(self, sim):
         """A volatile target dying mid-pipeline is skipped; the block
         still lands on the remaining targets and the deficit is queued."""

@@ -2,22 +2,58 @@
 per-slot recompute.
 
 `LateScheduler._ranked_by_time_left` memoises per-task rates and the
-ranked list per tick; `_ranked_by_time_left_reference` is the original
-computation kept as the equivalence oracle.  Both are driven over the
-same churn scenarios and every observable — assignment history, event
-counts, counters — must match exactly.
+ranked list per tick; `ranked_by_time_left_reference` below is the
+original computation kept as the equivalence oracle.  Both are driven
+over the same churn scenarios and every observable — assignment
+history, event counts, counters — must match exactly.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from typing import List
+
+import numpy as np
 import pytest
 
 from repro.config import SchedulerConfig
-from repro.scheduling.late import LateScheduler
+from repro.mapreduce.job import Job
+from repro.mapreduce.task import Task, TaskType
+from repro.mapreduce.tasktracker import TaskTracker
+from repro.scheduling.late import SLOW_TASK_PERCENTILE, LateScheduler
 from repro.simulation import Simulation
 from repro.workloads import sleep_spec
 
 from helpers import build_mr
+
+
+def ranked_by_time_left_reference(
+    policy: LateScheduler, job: Job, task_type: TaskType, tracker: TaskTracker
+) -> List[Task]:
+    """The original per-slot recompute (no memoisation)."""
+    running = [
+        t
+        for t in job.running_tasks(task_type)
+        if not t.complete
+        and t.live_attempts()
+        and policy.under_per_task_cap(t)
+        and policy.can_host(t, tracker)
+    ]
+    if not running:
+        return []
+    rates = {t.task_id: policy._rate(t) for t in running}
+    threshold = float(
+        np.percentile(list(rates.values()), SLOW_TASK_PERCENTILE)
+    )
+    slow = [t for t in running if rates[t.task_id] <= threshold]
+
+    def time_left(t: Task) -> float:
+        r = rates[t.task_id]
+        if r <= 0:
+            return float("inf")
+        return (1.0 - t.best_progress()) / r
+
+    return sorted(slow, key=lambda t: (-time_left(t), t.index))
 
 
 def late_cfg(**kw):
@@ -33,8 +69,8 @@ def _run(traces, use_reference, n_maps=10, until=1500.0):
         n_volatile=4, n_dedicated=1,
     )
     if use_reference:
-        jt.policy._ranked_by_time_left = (
-            jt.policy._ranked_by_time_left_reference
+        jt.policy._ranked_by_time_left = partial(
+            ranked_by_time_left_reference, jt.policy
         )
     assignments = []
     original_launch = jt.launch

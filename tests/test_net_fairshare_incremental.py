@@ -2,10 +2,11 @@
 
 The fair-share model recomputes rates only for the connected component
 a flow change touches.  These tests replay identical randomized
-arrival/departure/outage schedules through an incremental network and
-a full-recompute oracle (``incremental=False``) and require *exact*
-agreement — same rates after every change, same completion and failure
-events at the same simulated times, in the same order.
+arrival/departure/outage schedules through the shipped network and
+:class:`FullRecomputeNetwork`, a test-side oracle that re-fills every
+flow on every change, and require *exact* agreement — same rates after
+every change, same completion and failure events at the same simulated
+times, in the same order.
 """
 
 from __future__ import annotations
@@ -20,9 +21,18 @@ from repro.simulation import Simulation
 N_NODES = 6
 
 
+class FullRecomputeNetwork(FairShareNetwork):
+    """The full-recompute oracle: every change re-fills every flow."""
+
+    def _refill(self, changed_channels):
+        flows = list(self._flows)
+        if flows:
+            self._water_fill(flows)
+
+
 def _build(incremental: bool):
     sim = Simulation(seed=0)
-    net = FairShareNetwork(sim, incremental=incremental)
+    net = (FairShareNetwork if incremental else FullRecomputeNetwork)(sim)
     for i in range(N_NODES):
         # Heterogeneous capacities so bottlenecks move around.
         net.register_node(i, disk_mbps=40.0 + 7.0 * i, nic_mbps=60.0 + 11.0 * i)
@@ -118,10 +128,3 @@ def test_disjoint_components_untouched_by_churn():
         net.transfer(0, 1, 5.0)
         net.disk_io(2, 3.0)
     assert net.flow_rate(t_iso) == rate0
-
-
-def test_incremental_flag_default_and_oracle_mode():
-    sim, net = _build(True)
-    assert net._incremental
-    _, oracle = _build(False)
-    assert not oracle._incremental

@@ -1,16 +1,15 @@
 """Vectorised sampling is byte-identical to the scalar draws it
 replaces.
 
-Three contracts, each pinned with hypothesis:
+Two contracts, each pinned with hypothesis:
 
 * :class:`~repro.simulation.StreamSampler` — block-prefetched scalar
   draws equal direct ``numpy.random.Generator`` scalar calls in the
   same order on an identically seeded stream, per distribution family,
   for every block size;
 * :func:`~repro.service.poisson_arrivals_vectorised` — the batched
-  two-stream arrival builder equals its scalar reference loop;
-* :func:`~repro.workloads.random_specs` — the field-major batch spec
-  generator equals its scalar oracle.
+  two-stream arrival builder equals :func:`poisson_arrivals_reference`,
+  the scalar loop kept here as its oracle.
 """
 
 from __future__ import annotations
@@ -21,14 +20,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.service import (
-    poisson_arrivals_reference,
-    poisson_arrivals_vectorised,
-    sleep_catalog,
+from repro.service import poisson_arrivals_vectorised, sleep_catalog
+from repro.service.arrivals import (
+    DEFAULT_TENANTS,
+    HOUR,
+    JobArrival,
+    _class_weights,
+    _tenant_weights,
 )
 from repro.simulation import StreamSampler
-from repro.workloads import random_specs
-from repro.workloads.generator import _random_specs_scalar
+
+
+def poisson_arrivals_reference(gap_rng, pick_rng, rate_per_hour, horizon,
+                               catalog):
+    """Scalar oracle for :func:`poisson_arrivals_vectorised`: one draw
+    at a time from the same two streams, same arithmetic."""
+    tenants = DEFAULT_TENANTS
+    cum_class = np.cumsum(_class_weights(catalog))
+    cum_tenant = np.cumsum(_tenant_weights(tenants, None))
+    mean_gap = HOUR / rate_per_hour
+    out = []
+    t = 0.0
+    while True:
+        t = t + mean_gap * float(gap_rng.standard_exponential())
+        if t >= horizon:
+            break
+        ci = min(
+            int(np.searchsorted(cum_class, pick_rng.random(), side="right")),
+            len(catalog) - 1,
+        )
+        ti = min(
+            int(np.searchsorted(cum_tenant, pick_rng.random(), side="right")),
+            len(tenants) - 1,
+        )
+        cls = catalog[ci]
+        deadline = None if cls.slo_seconds is None else t + cls.slo_seconds
+        out.append(JobArrival(t, tenants[ti], cls.spec, deadline))
+    return out
 
 
 def _pair(seed):
@@ -144,17 +172,3 @@ class TestVectorisedArrivals:
         assert names == {"sleep-interactive", "sleep-batch"}
         for a in arrivals:
             assert a.deadline is not None and a.deadline > a.arrival_time
-
-
-class TestRandomSpecsBatch:
-    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 60))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_scalar_oracle(self, seed, n):
-        g_vec = np.random.default_rng([seed, 4])
-        g_ref = np.random.default_rng([seed, 4])
-        vec = random_specs(g_vec, n)
-        ref = _random_specs_scalar(g_ref, n)
-        assert vec == ref
-        assert (
-            g_vec.bit_generator.state == g_ref.bit_generator.state
-        ), "batch and scalar paths must consume the stream identically"

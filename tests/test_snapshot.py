@@ -240,6 +240,23 @@ class TestCli:
                                   "--checkpoint-at", "60"]) == 0
         assert main(["resume", str(snap), "--until", "120"]) == 2
 
+    def test_resume_until_behind_clock_is_exit_2(self, tmp_path, capsys):
+        # Regression: resume --until T with T behind the snapshot's
+        # clock used to report "advanced to t=T" and write a snapshot
+        # whose clock had gone backwards.
+        from repro.cli.main import main
+
+        snap = tmp_path / "svc.snap"
+        later = tmp_path / "later.snap"
+        assert main(self.SERVE + ["--checkpoint", str(snap),
+                                  "--checkpoint-at", "300"]) == 0
+        capsys.readouterr()
+        assert main(["resume", str(snap), "--until", "100",
+                     "--checkpoint", str(later)]) == 2
+        err = capsys.readouterr().err
+        assert "100.0" in err and "300.0" in err
+        assert not later.exists()
+
     def test_resume_unreadable_snapshot_is_exit_2(self, tmp_path):
         from repro.cli.main import main
 
