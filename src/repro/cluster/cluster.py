@@ -60,9 +60,6 @@ class Cluster:
     def node(self, node_id: int) -> Node:
         return self._by_id[node_id]
 
-    def available_nodes(self) -> List[Node]:
-        return [n for n in self.nodes if n.available]
-
     def unavailable_fraction(self) -> float:
         down = sum(1 for n in self.nodes if not n.available)
         return down / len(self.nodes)

@@ -347,11 +347,6 @@ class Journal:
         plus every *durable* record replayed on top."""
         return self.checkpoint_image.copy().replay(self.durable_records())
 
-    # ------------------------------------------------------------------
-    def dump_lines(self) -> List[str]:
-        """The durable log as JSON lines (debugging / validator)."""
-        return [rec.encode() for rec in self.durable_records()]
-
 
 __all__ = [
     "SCHEMA_VERSION",

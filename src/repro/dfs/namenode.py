@@ -333,13 +333,6 @@ class NameNode:
         self.counters["replicas_written"] += 1
         self._watched_block_changed(block)
 
-    def drop_replica(self, block: BlockInfo, node_id: int) -> None:
-        if self.journal is not None and node_id in block.replicas:
-            self._j("drop", path=block.file.path, i=block.index, node=node_id)
-        block.replicas.discard(node_id)
-        block.dedicated_replicas.discard(node_id)
-        self._infos[node_id].drop_block(block)
-
     def read_targets(self, block: BlockInfo, reader_node: int) -> List[int]:
         """Replica candidates in MOON's preferred order: local copy,
         then volatile replicas, then dedicated (Section IV-B: volatile

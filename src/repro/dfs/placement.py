@@ -36,10 +36,6 @@ class WritePlan:
     dedicated_declined: bool = False
     adjusted_volatile: Optional[int] = None
 
-    @property
-    def n_targets(self) -> int:
-        return len(self.targets)
-
 
 class PlacementPolicy:
     """Chooses replica targets.  The NameNode supplies cluster views via

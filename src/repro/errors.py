@@ -27,15 +27,6 @@ class NetworkError(ReproError):
     """A transfer could not be carried out."""
 
 
-class TransferFailed(NetworkError):
-    """An in-flight transfer was aborted because an endpoint became
-    unavailable.  Carries the transfer for inspection."""
-
-    def __init__(self, message: str, transfer: object = None) -> None:
-        super().__init__(message)
-        self.transfer = transfer
-
-
 class DfsError(ReproError):
     """Distributed file system failure."""
 
@@ -59,11 +50,6 @@ class FileAlreadyExists(DfsError):
 
 class SchedulingError(ReproError):
     """Task scheduler invariant violation."""
-
-
-class JobFailed(ReproError):
-    """A MapReduce job exhausted its retry budget and was terminated
-    (paper footnote 1: a map rescheduled 4 times fails the job)."""
 
 
 class LocalRuntimeError(ReproError):

@@ -36,6 +36,11 @@ from .task import AttemptState, TaskAttempt
 
 #: Progress weight of each map phase (Hadoop-like: compute dominates).
 MAP_WEIGHTS = (0.15, 0.70, 0.15)
+#: ``sum(MAP_WEIGHTS[:phase])`` by phase, summed the same way (so
+#: phase 0 is the int ``0``, as the per-refresh ``sum`` gave).
+_MAP_DONE_BEFORE = tuple(
+    sum(MAP_WEIGHTS[:phase]) for phase in range(len(MAP_WEIGHTS) + 1)
+)
 #: Reduce thirds: shuffle / sort / reduce+write (paper II-C wording).
 REDUCE_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
@@ -80,13 +85,16 @@ class _ComputeStep:
     def fraction_done(self) -> float:
         if self.started_at is None:
             return 0.0
-        done = self.total - self._live_remaining()
-        return min(1.0, max(0.0, done / self.total))
-
-    def _live_remaining(self) -> float:
-        if self.event is None:
-            return self.remaining
-        return self.remaining - (self.runner.rt.sim.now - self.started_at)
+        remaining = self.remaining
+        if self.event is not None:
+            remaining -= self.runner.rt.sim.now - self.started_at
+        frac = (self.total - remaining) / self.total
+        # min(1.0, max(0.0, frac)) without the builtin calls: max keeps
+        # 0.0 unless frac > 0.0 and min keeps frac only if frac < 1.0,
+        # so -0.0 and NaN clamp to 0.0 exactly as there.
+        if frac > 0.0:
+            return frac if frac < 1.0 else 1.0
+        return 0.0
 
 
 class AttemptRunner:
@@ -305,10 +313,11 @@ class MapRunner(AttemptRunner):
 
     # ------------------------------------------------------------------
     def update_progress(self) -> None:
-        p = sum(MAP_WEIGHTS[: self.phase])
-        if self.phase == 1 and self._compute is not None:
+        phase = self.phase
+        p = _MAP_DONE_BEFORE[phase]
+        if phase == 1 and self._compute is not None:
             p += MAP_WEIGHTS[1] * self._compute.fraction_done()
-        self.attempt.progress = min(1.0, p)
+        self.attempt.progress = p if p < 1.0 else 1.0  # min(1.0, p)
 
 
 class ReduceRunner(AttemptRunner):

@@ -134,11 +134,16 @@ class Job:
                 self._sync_candidacy(TaskType.REDUCE)
 
     def assign_candidate(self, task_type: TaskType) -> bool:
-        """Mirror of ``SchedulerPolicy.job_is_candidate`` evaluated
-        from the job's own counters (the slow-start fraction and the
-        speculation switch are stamped on the job at submit), so the
-        index can be maintained at transition time instead of being
-        recomputed over every active job on every tick."""
+        """Can ``select_task`` possibly return a ``task_type`` task of
+        this job on *any* tracker?  Every selectable task is PENDING
+        (pending reduces gated by the slow-start rule) or incomplete
+        with attempts (the speculative pools draw on running tasks plus
+        requeued tasks that ran before).  Evaluated from the job's own
+        counters (the slow-start fraction and the speculation switch
+        are stamped on the job at submit), so the index is maintained
+        at transition time instead of being recomputed over every
+        active job on every tick; ``tests/test_assignment_walk.py``
+        recomputes it from task states at every tick."""
         if self.pending_count(task_type) > 0:
             if task_type is TaskType.MAP:
                 return True
@@ -237,9 +242,6 @@ class Job:
 
     def maps_completed(self) -> int:
         return self._completed_maps
-
-    def reduces_completed(self) -> int:
-        return self._completed_reduces
 
     def all_maps_done(self) -> bool:
         return self._completed_maps == len(self.maps)

@@ -22,6 +22,7 @@ from ..config import SchedulerConfig, ShuffleConfig
 from ..dfs import DfsClient, NameNode
 from ..errors import SchedulingError
 from ..obs import ATTEMPT_LANE_BASE
+from ..scheduling.answers import EXHAUSTED
 from ..simulation import PRIORITY_HEARTBEAT, PeriodicTask, Simulation
 from ..workloads import JobSpec
 from .execution import ReduceRunner, make_runner
@@ -105,6 +106,13 @@ class JobTracker:
             TaskType.REDUCE: {},
         }
         self._schedule_seq = 0
+        #: Bumped by every change that can turn a job's tracker-
+        #: independent refusal back into an offer: an attempt finishing
+        #: (fewer live or active copies, freed caps) or a completed map
+        #: going back to PENDING.  A launch can cause either on the spot
+        #: (an input read or a shuffle fetch failing at start), so the
+        #: tick compares it around each launch; see :meth:`_tick`.
+        self._wake_seq = 0
         #: Monotone submission counter (equals ``len(self.jobs)`` until
         #: :meth:`release` starts forgetting finished jobs).
         self._submit_seq = 0
@@ -308,8 +316,7 @@ class JobTracker:
         # The candidacy index holds exactly the jobs select_task could
         # accept on some tracker (see Job.assign_candidate): skipping
         # the rest — and on a quiet cluster, the whole tracker sweep —
-        # changes no decision.  Launches re-sync the index through
-        # note_state, so the sweep stops as soon as both types run dry.
+        # changes no decision.
         index = self._assign_candidates
         idx_map, idx_red = index[TaskType.MAP], index[TaskType.REDUCE]
         if not (idx_map or idx_red):
@@ -326,43 +333,74 @@ class JobTracker:
                 key=lambda j: (j.deprioritised, -j.priority, j.submit_seq),
             )
 
-        types = (TaskType.MAP, TaskType.REDUCE)
-        candidates = {tt: walk_order(index[tt]) for tt in types}
+        # Each type's walk list shrinks as the tick goes: launches
+        # re-sync the index through note_state, and _assign_one parks
+        # the jobs the policy reports exhausted.  A launch that bumps
+        # _wake_seq (it finished an attempt or requeued a map on the
+        # spot) returns every parked job to its place in the walk.
+        # Parked jobs skip the index re-sync: their membership can only
+        # change through such a launch, which un-parks them first.
+        # The sweep stops as soon as both lists run dry.
+        walks = [
+            (tt, walk_order(index[tt]), [])
+            for tt in (TaskType.MAP, TaskType.REDUCE)
+        ]
+        (_, maps, _), (_, reduces, _) = walks
+        wake_seq = self._wake_seq
         for tracker in self._assignment_order():
             if not tracker.usable:
                 continue
             launched = False
-            for task_type in types:
-                cand = candidates[task_type]
+            for task_type, cand, parked in walks:
                 if not cand:
                     continue
-                free = tracker.free_slots(task_type)
-                for _ in range(free):
-                    if not self._assign_one(tracker, task_type, cand):
+                for _ in range(tracker.free_slots(task_type)):
+                    if not self._assign_one(tracker, task_type, cand, parked):
                         break
                     launched = True
+                    if self._wake_seq != wake_seq:
+                        wake_seq = self._wake_seq
+                        for _tt, lst, held in walks:
+                            if held:
+                                lst[:] = walk_order(lst + held)
+                                held.clear()
             if launched:
-                for tt in types:
-                    lst = candidates[tt]
-                    if lst:
-                        live = index[tt]
-                        lst[:] = [j for j in lst if j in live]
-                if not (
-                    candidates[TaskType.MAP] or candidates[TaskType.REDUCE]
-                ):
-                    break
+                for task_type, cand, _parked in walks:
+                    if cand:
+                        live = index[task_type]
+                        cand[:] = [j for j in cand if j in live]
+            if not (maps or reduces):
+                break
 
     def _assignment_order(self) -> List[TaskTracker]:
         # Volatile trackers first so dedicated slots stay free for the
         # hybrid policy's speculative placement (V-C).
         return self._assignment_order_cache
 
-    def _assign_one(self, tracker, task_type, jobs) -> bool:
-        for job in jobs:
+    def _assign_one(self, tracker, task_type, jobs, parked) -> bool:
+        """Launch the first task some job of ``jobs`` (walk order)
+        places on ``tracker``.  Finished and paused jobs leave ``jobs``
+        (they stay so for the whole tick); jobs the policy answers
+        :data:`EXHAUSTED` move to ``parked``.
+
+        Exact: no events fire inside a tick and the policy's per-tick
+        lists are fixed, so an exhausted job's refusals (pending count,
+        caps, frozen and V-C state) can only become less true through a
+        change that bumps ``_wake_seq``, and the tick un-parks every
+        job when one happens."""
+        select = self.policy.select_task
+        i = 0
+        while i < len(jobs):
+            job = jobs[i]
             if job.finished or job.paused:
+                del jobs[i]
                 continue
-            picked = self.policy.select_task(job, tracker, task_type)
-            if picked is not None:
+            picked = select(job, tracker, task_type)
+            if picked is None:
+                i += 1
+            elif picked is EXHAUSTED:
+                parked.append(jobs.pop(i))
+            else:
                 task, speculative = picked
                 self.launch(task, tracker, speculative)
                 return True
@@ -453,6 +491,7 @@ class JobTracker:
         )
 
     def _note_attempt_finished(self, attempt: TaskAttempt) -> None:
+        self._wake_seq += 1
         if attempt.is_speculative:
             attempt.task.job._spec_active -= 1
 
@@ -604,6 +643,7 @@ class JobTracker:
             self._delete_quiet(map_task.output_file.path)
         map_task.output_file = None
         map_task.state = TaskState.PENDING
+        self._wake_seq += 1
         map_task.requeue_cause = "fetch_failure"
         map_task.finished_at = None
         map_task.fetch_failure_reporters.clear()
@@ -954,9 +994,3 @@ class JobTracker:
     # ==================================================================
     def stop(self) -> None:
         self._tick_task.stop()
-
-    def run_to_completion(self, job: Job, time_limit: float) -> Job:
-        """Convenience: advance the simulation until ``job`` finishes or
-        the limit is hit (callers check ``job.state``)."""
-        self.sim.run(until=time_limit, stop_when=lambda: job.finished)
-        return job

@@ -187,14 +187,6 @@ class MetricsRegistry:
             raise ReproError(f"histogram {name!r} re-registered with different bounds")
         return inst
 
-    def counters_with_prefix(self, prefix: str) -> Dict[str, int]:
-        """Touched counters under ``prefix``, with the prefix stripped."""
-        return {
-            name[len(prefix):]: c.value
-            for name, c in self._counters.items()
-            if name.startswith(prefix)
-        }
-
     def to_dict(self) -> Dict[str, Any]:
         """Deterministic (sorted) snapshot of every instrument."""
         return {

@@ -5,20 +5,24 @@ it speculative?": the shared :class:`SchedulerPolicy` machinery
 (per-tick memoised candidate lists, straggler detection, speculative
 caps) and three concrete policies — stock Hadoop (paper II-C), LATE,
 and MOON's frozen-task/two-phase/hybrid-aware scheduler (paper
-Section V: Figs. 4 and 5 compare them).  The service-mode
-``dedicated_primary`` extension lets dedicated slots run primary
-tasks, making the autoscaled tier real capacity.
+Section V: Figs. 4 and 5 compare them).  A refusal is either
+``None`` (not on this tracker) or :data:`EXHAUSTED` (not on any
+tracker this tick), which lets the JobTracker stop asking.  The
+service-mode ``dedicated_primary`` extension lets dedicated slots run
+primary tasks, making the autoscaled tier real capacity.
 
 See docs/ARCHITECTURE.md#scheduling-policies for the layer map.
 """
 
 from ..config import SchedulerConfig
+from .answers import EXHAUSTED
 from .base import SchedulerPolicy
 from .hadoop import HadoopScheduler
 from .late import LateScheduler
 from .moon import MoonScheduler
 
 __all__ = [
+    "EXHAUSTED",
     "SchedulerPolicy",
     "HadoopScheduler",
     "MoonScheduler",

@@ -4,17 +4,37 @@ Candidate lists (pending tasks, stragglers, frozen tasks) are memoised
 for the duration of one JobTracker tick via :meth:`begin_tick`; the
 per-tracker constraints (don't co-locate with an existing copy, input
 locality) are applied at selection time so they stay exact.
+
+:meth:`SchedulerPolicy.select_task` has two kinds of "no".  ``None``
+means "not on this tracker": some task was refused only for a reason
+that depends on the tracker (co-location, or the V-C rule that keeps
+pending work off dedicated trackers).  :data:`EXHAUSTED` means "not on
+any tracker for the rest of this tick": the job has no pending task of
+that type and every speculative candidate was refused for a reason no
+tracker changes (speculation off, a full cap, empty lists, frozen or
+V-C state).  The per-tick lists are fixed, and within a tick those
+reasons can only weaken when a launch finishes an attempt or sends a
+completed map back to PENDING on the spot (an input read or a shuffle
+fetch failing at start).  So the JobTracker parks an exhausted job for
+that type and returns it to the walk at the next tick, or right after
+such a launch.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..config import SchedulerConfig
 from ..mapreduce.job import Job
 from ..mapreduce.task import Task, TaskState, TaskType
 from ..mapreduce.tasktracker import TaskTracker
+from .answers import _Exhausted
+
+
+#: What ``select_task`` returns: ``(task, is_speculative)``, ``None``
+#: or :data:`EXHAUSTED`.
+Selection = Union[Tuple[Task, bool], None, _Exhausted]
 
 
 class SchedulerPolicy(ABC):
@@ -42,8 +62,16 @@ class SchedulerPolicy(ABC):
     @abstractmethod
     def select_task(
         self, job: Job, tracker: TaskTracker, task_type: TaskType
-    ) -> Optional[Tuple[Task, bool]]:
-        """Return ``(task, is_speculative)`` or ``None``."""
+    ) -> Selection:
+        """Return ``(task, is_speculative)``, ``None`` (nothing of
+        ``job`` runs on *this* tracker now) or :data:`EXHAUSTED`
+        (nothing of ``job`` of this type runs on *any* tracker while
+        the job's attempts and task states stay as they are this tick).
+
+        ``EXHAUSTED`` is only returned when the job has no pending task
+        of ``task_type`` and every candidate was refused for a
+        tracker-independent reason; one co-location refusal makes the
+        answer ``None``."""
 
     # ------------------------------------------------------------------
     # Shared building blocks
@@ -143,31 +171,6 @@ class SchedulerPolicy(ABC):
         speculative copies — backup instances are exactly the extra
         slots the preemption is trying to hand to tighter jobs."""
         return self.cfg.speculative_enabled and not job.deprioritised
-
-    def job_is_candidate(self, job: Job, task_type: TaskType) -> bool:
-        """Can :meth:`select_task` possibly return a ``task_type`` task
-        of this job on *any* tracker this tick?
-
-        Exact, not heuristic: every selectable task is either PENDING —
-        and pending reduces are gated by the slow-start rule — or
-        incomplete-with-attempts (the speculative pools draw on running
-        tasks plus requeued tasks that ran before).  Both facts are
-        cheap reads against the job's per-state indices, so the
-        JobTracker can prefilter its assignment walk per tick instead
-        of asking every (job, tracker) pair, and a quiet big cluster
-        skips the walk entirely.  Jobs failing this gate are exactly
-        those every ``select_task`` call would refuse, so the filtered
-        walk makes identical decisions.
-        """
-        speculate = self.cfg.speculative_enabled
-        if job.pending_count(task_type) > 0:
-            if task_type is TaskType.MAP or self.reduces_eligible(job):
-                return True
-            # Pending-but-ineligible reduces that ran before remain
-            # homestretch material (MOON V-B).
-            if speculate and job.any_pending_attempted(task_type):
-                return True
-        return bool(speculate and job.running_count(task_type))
 
     def available_slots(self) -> int:
         cached = self._memo.get("avail_slots")

@@ -8,19 +8,18 @@ Figures 4/5 are this policy with different TrackerExpiryIntervals.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from ..mapreduce.job import Job
-from ..mapreduce.task import Task, TaskType
+from ..mapreduce.task import TaskType
 from ..mapreduce.tasktracker import TaskTracker
-from .base import SchedulerPolicy
+from .answers import EXHAUSTED
+from .base import SchedulerPolicy, Selection
 
 
 class HadoopScheduler(SchedulerPolicy):
     """Stock Hadoop speculative scheduling (paper II-C / V)."""
     def select_task(
         self, job: Job, tracker: TaskTracker, task_type: TaskType
-    ) -> Optional[Tuple[Task, bool]]:
+    ) -> Selection:
         pending = self.pick_pending(job, tracker, task_type)
         if pending is not None:
             return (pending, False)
@@ -29,12 +28,15 @@ class HadoopScheduler(SchedulerPolicy):
         if self.has_pending(job, task_type):
             return None
         if not self.allow_speculation(job):
-            return None
-        stragglers = [
+            return EXHAUSTED
+        capped = [
             t
             for t in self.hadoop_stragglers(job, task_type)
-            if self.under_per_task_cap(t) and self.can_host(t, tracker)
+            if self.under_per_task_cap(t)
         ]
+        if not capped:
+            return EXHAUSTED
+        stragglers = [t for t in capped if self.can_host(t, tracker)]
         if not stragglers:
             return None
         if task_type is TaskType.MAP:

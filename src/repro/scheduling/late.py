@@ -17,14 +17,15 @@ Simplified faithful implementation:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
 from ..mapreduce.job import Job
 from ..mapreduce.task import Task, TaskType
 from ..mapreduce.tasktracker import TaskTracker
-from .base import SchedulerPolicy
+from .answers import EXHAUSTED
+from .base import SchedulerPolicy, Selection
 
 #: LATE's published defaults.
 SLOW_TASK_PERCENTILE = 25.0
@@ -34,18 +35,19 @@ class LateScheduler(SchedulerPolicy):
     """LATE: speculate on the longest estimated time-to-end."""
     def select_task(
         self, job: Job, tracker: TaskTracker, task_type: TaskType
-    ) -> Optional[Tuple[Task, bool]]:
+    ) -> Selection:
         pending = self.pick_pending(job, tracker, task_type)
         if pending is not None:
             return (pending, False)
         if self.has_pending(job, task_type):
             return None
         if not self.allow_speculation(job) or not self.under_job_cap(job):
-            return None
+            return EXHAUSTED
         candidates = self._ranked_by_time_left(job, task_type, tracker)
-        if not candidates:
-            return None
-        return (candidates[0], True)
+        if candidates:
+            return (candidates[0], True)
+        # Only co-location depends on the tracker.
+        return None if self._speculable(job, task_type) else EXHAUSTED
 
     # ------------------------------------------------------------------
     def _rate(self, task: Task) -> float:
@@ -57,6 +59,16 @@ class LateScheduler(SchedulerPolicy):
             runtime = max(1e-6, self.now - a.started_at)
             rates.append(a.progress / runtime)
         return max(rates)
+
+    def _speculable(self, job: Job, task_type: TaskType) -> List[Task]:
+        """Running tasks that may take another copy on some tracker."""
+        return [
+            t
+            for t in job.running_tasks(task_type)
+            if not t.complete
+            and t.live_attempts()
+            and self.under_per_task_cap(t)
+        ]
 
     def _ranked_by_time_left(
         self, job: Job, task_type: TaskType, tracker: TaskTracker
@@ -81,11 +93,8 @@ class LateScheduler(SchedulerPolicy):
         """
         running = [
             t
-            for t in job.running_tasks(task_type)
-            if not t.complete
-            and t.live_attempts()
-            and self.under_per_task_cap(t)
-            and self.can_host(t, tracker)
+            for t in self._speculable(job, task_type)
+            if self.can_host(t, tracker)
         ]
         if not running:
             return []

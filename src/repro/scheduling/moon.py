@@ -18,19 +18,20 @@ further replication and skip the homestretch (V-C).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..mapreduce.job import Job
 from ..mapreduce.task import Task, TaskType
 from ..mapreduce.tasktracker import TaskTracker
-from .base import SchedulerPolicy
+from .answers import EXHAUSTED
+from .base import SchedulerPolicy, Selection
 
 
 class MoonScheduler(SchedulerPolicy):
     """MOON's frozen/slow + two-phase + hybrid-aware policy (V)."""
     def select_task(
         self, job: Job, tracker: TaskTracker, task_type: TaskType
-    ) -> Optional[Tuple[Task, bool]]:
+    ) -> Selection:
         if tracker.node.is_dedicated:
             if not self.cfg.hybrid_aware:
                 # Plain MOON uses dedicated machines as pure data
@@ -46,7 +47,12 @@ class MoonScheduler(SchedulerPolicy):
                 if pending is not None:
                     return (pending, False)
             # MOON-Hybrid: best-effort speculative hosting only.
-            return self._pick_speculative(job, tracker, task_type)
+            picked = self._pick_speculative(job, tracker, task_type)
+            if picked is EXHAUSTED and self.has_pending(job, task_type):
+                # Pending work skips the speculative path only here: a
+                # volatile tracker can still take it.
+                return None
+            return picked
         pending = self.pick_pending(job, tracker, task_type)
         if pending is not None:
             return (pending, False)
@@ -57,23 +63,26 @@ class MoonScheduler(SchedulerPolicy):
     # ------------------------------------------------------------------
     def _pick_speculative(
         self, job: Job, tracker: TaskTracker, task_type: TaskType
-    ) -> Optional[Tuple[Task, bool]]:
+    ) -> Selection:
+        """Frozen, then slow, then homestretch.  Answers
+        :data:`EXHAUSTED` unless some candidate was refused only for
+        co-location (``can_host``), the one test that depends on the
+        tracker."""
         if not self.allow_speculation(job) or not self.under_job_cap(job):
-            return None
+            return EXHAUSTED
 
         frozen, slow, home = self._spec_candidates(job, task_type)
+        refused = EXHAUSTED
         # The ordered candidate lists are computed once per tick; only
         # the conditions a same-tick launch can change (a new copy, a
         # per-task cap, co-location) are re-checked per slot.
         for t in frozen:
             # Frozen tasks get a copy regardless of the per-task cap.
-            if (
-                t.is_frozen()
-                and not t.has_dedicated_attempt()
-                and self.can_host(t, tracker)
-            ):
-                job.counters["frozen_speculations"] += 1
-                return (t, True)
+            if t.is_frozen() and not t.has_dedicated_attempt():
+                if self.can_host(t, tracker):
+                    job.counters["frozen_speculations"] += 1
+                    return (t, True)
+                refused = None
         # Two passes keep V-C live: tasks that gained a dedicated copy
         # earlier this same tick must drop behind those with none.
         for backed in (False, True):
@@ -82,20 +91,22 @@ class MoonScheduler(SchedulerPolicy):
                     t.has_dedicated_attempt() is backed
                     and not t.is_frozen()
                     and self.under_per_task_cap(t)
-                    and self.can_host(t, tracker)
                 ):
-                    return (t, True)
+                    if self.can_host(t, tracker):
+                        return (t, True)
+                    refused = None
         want = self.cfg.homestretch_replicas
         for t in home:
             if (
                 not t.complete
                 and len(t.active_attempts()) < want
                 and not t.has_dedicated_attempt()
-                and self.can_host(t, tracker)
             ):
-                job.counters["homestretch_speculations"] += 1
-                return (t, True)
-        return None
+                if self.can_host(t, tracker):
+                    job.counters["homestretch_speculations"] += 1
+                    return (t, True)
+                refused = None
+        return refused
 
     # ------------------------------------------------------------------
     def _order(self, tasks: List[Task]) -> List[Task]:

@@ -416,16 +416,6 @@ class ServiceReport:
             f"{other_s:.0f}",
         ]
 
-    def recovery_row(self) -> list:
-        """``summary_row`` plus the failover cells ``[crashes,
-        recovery s, records, ckpts]``."""
-        return self.summary_row() + [
-            self.namenode_crashes,
-            _fmt_s(self.recovery_mean),
-            self.journal_records,
-            self.checkpoints,
-        ]
-
     def render(self) -> str:
         """The service run as one aligned text table."""
         rows = []
