@@ -7,6 +7,7 @@ macro-scenario end to end through the CLI exactly as CI does.
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -106,6 +107,28 @@ class TestRunner:
             baseline_path=str(tmp_path / "missing.json"),
         )
         assert stub_scenarios["fast"] == 3
+
+    def test_gc_probe_reports_collector_work(self, tmp_path, monkeypatch):
+        """``gc_s``/``gc_collections`` count the collections that ran
+        during the timed run, and the probe is unregistered after."""
+
+        def garbage():
+            for _ in range(3):
+                gc.collect(0)
+            gc.collect(2)
+            return {"events": 1.0}
+
+        stubs = {"garbage": Scenario("garbage", "collects", garbage)}
+        monkeypatch.setattr(runner_mod, "SCENARIOS", stubs)
+        callbacks = list(gc.callbacks)
+        out = tmp_path / "B.json"
+        run_perf(names=["garbage"], output=str(out),
+                 baseline_path=str(tmp_path / "missing.json"))
+        assert gc.callbacks == callbacks
+        entry = json.loads(out.read_text())["scenarios"]["garbage"]
+        gen0, gen1, gen2 = entry["gc_collections"]
+        assert gen0 >= 3 and gen2 >= 1
+        assert entry["gc_s"] > 0.0
 
 
 class TestRegistry:

@@ -135,6 +135,10 @@ class FifoNetwork(NetworkModel):
         )
 
     def _complete(self, t: Transfer) -> None:
+        # The handle's args hold ``t``: clear it on fire, or every
+        # completed transfer (and its callbacks' op graph) stays in a
+        # reference cycle that only the cyclic collector can free.
+        t._event = None
         self._inflight.pop(t, None)
         self._finish(t)
 

@@ -8,10 +8,14 @@ repo root and — under ``--check`` — fails when a scenario's wall-clock
 regresses more than :data:`REGRESSION_THRESHOLD_PCT` percent against
 the baseline.  ``--update-baseline`` re-pins the baseline file after a
 deliberate change (new machine, new scenario, accepted slowdown).
+Each scenario entry also reports the cyclic garbage collector's share
+of the timed run (``gc_s``, ``gc_collections``); like the wall clock,
+those are reported, never gated.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
@@ -63,20 +67,56 @@ def load_baseline(path: Optional[str] = None) -> Dict[str, dict]:
     return data.get("scenarios", {})
 
 
+class _GcProbe:
+    """Host seconds the cyclic collector ran, and its collections per
+    generation, while registered in ``gc.callbacks``.
+
+    A collection runs inside whichever callback happens to allocate
+    when a generation's threshold trips, so only a probe on the
+    collector itself can tell its cost apart.  It reads the collector
+    and never configures it; like the wall clock, its figures sit
+    outside the determinism boundary.
+    """
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self.collections = [0, 0, 0]
+        self._started = 0.0
+
+    def _note(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+            self.collections[info["generation"]] += 1
+
+    def __enter__(self) -> "_GcProbe":
+        gc.callbacks.append(self._note)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._note)
+
+
 def time_scenario(name: str, repeat: int = 1) -> dict:
-    """Run one scenario ``repeat`` times; report the fastest wall."""
+    """Run one scenario ``repeat`` times; report the fastest wall and
+    the cyclic collector's share of that run."""
     scenario = SCENARIOS[name]
     best_wall = None
+    best_gc = None
     work: Dict[str, float] = {}
     for _ in range(max(1, repeat)):
-        t0 = time.perf_counter()
-        work = scenario.run()
-        wall = time.perf_counter() - t0
+        with _GcProbe() as probe:
+            t0 = time.perf_counter()
+            work = scenario.run()
+            wall = time.perf_counter() - t0
         if best_wall is None or wall < best_wall:
-            best_wall = wall
+            best_wall, best_gc = wall, probe
     entry = {
         "description": scenario.description,
         "wall_s": round(best_wall, 6),
+        "gc_s": round(best_gc.seconds, 6),
+        "gc_collections": best_gc.collections,
         "events": int(work.get("events", 0)),
         "events_per_s": (
             round(work.get("events", 0) / best_wall) if best_wall > 0 else 0

@@ -133,6 +133,40 @@ class TestFailures:
             net.register_node(0, 10.0, 10.0)
 
 
+class TestEventHandle:
+    """A transfer drops its completion-event handle once it settles:
+    the event's args hold the transfer, so a kept handle would be a
+    reference cycle per transfer (see tests/test_gc_cycles.py)."""
+
+    def test_handle_cleared_on_completion(self, sim, net):
+        t = net.transfer(0, 1, 10.0)
+        assert t._event is not None
+        sim.run()
+        assert t.state == Transfer.DONE
+        assert t._event is None
+
+    def test_handle_cleared_on_disk_io_completion(self, sim, net):
+        t = net.disk_io(0, 10.0)
+        sim.run()
+        assert t.state == Transfer.DONE
+        assert t._event is None
+
+    def test_no_handle_when_endpoint_down_at_submit(self, sim, net):
+        net.node_down(2)
+        t = net.transfer(0, 2, 10.0)
+        assert t._event is None
+        sim.run()
+        assert t.state == Transfer.FAILED
+        assert t._event is None
+
+    def test_handle_cleared_when_node_goes_down_mid_flight(self, sim, net):
+        t = net.transfer(0, 2, 100.0)  # would finish at t=10
+        sim.call_at(5.0, net.node_down, 2)
+        sim.run()
+        assert t.state == Transfer.FAILED
+        assert t._event is None
+
+
 class TestAccounting:
     def test_mb_served_counts_both_endpoints(self, sim, net):
         run_transfer(sim, net, 0, 1, 40.0)
