@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import json
+import time
 
 import pytest
 
@@ -22,11 +23,11 @@ def stub_scenarios(monkeypatch):
     """Replace the registry with two instant stub scenarios."""
     calls = {"fast": 0, "work": 0}
 
-    def fast():
+    def fast(_obs):
         calls["fast"] += 1
         return {"events": 100.0, "jobs_done": 1.0}
 
-    def work():
+    def work(_obs):
         calls["work"] += 1
         return {"events": 500.0, "jobs_done": 2.0}
 
@@ -112,7 +113,7 @@ class TestRunner:
         """``gc_s``/``gc_collections`` count the collections that ran
         during the timed run, and the probe is unregistered after."""
 
-        def garbage():
+        def garbage(_obs):
             for _ in range(3):
                 gc.collect(0)
             gc.collect(2)
@@ -129,6 +130,90 @@ class TestRunner:
         gen0, gen1, gen2 = entry["gc_collections"]
         assert gen0 >= 3 and gen2 >= 1
         assert entry["gc_s"] > 0.0
+
+
+def _stub_check(monkeypatch, tmp_path, run, repeat=1):
+    """``run_perf --check`` on one stub scenario; (exit code, the
+    report's obs_check entry)."""
+    stubs = {"stub": Scenario("stub", "obs-check stub", run)}
+    monkeypatch.setattr(runner_mod, "SCENARIOS", stubs)
+    baseline = tmp_path / "baseline.json"
+    _write_baseline(baseline, {"stub": {"wall_s": 1000.0, "events": 100}})
+    out = tmp_path / "B.json"
+    code = run_perf(names=["stub"], repeat=repeat, check=True,
+                    output=str(out), baseline_path=str(baseline))
+    return code, json.loads(out.read_text())["scenarios"]["stub"]["obs_check"]
+
+
+def _busy_wait(traced_factor, slow_traced_runs=None):
+    """A stub that busy-waits 50 ms, ``traced_factor`` times as long
+    when the bundle it is handed records a trace (only in the first
+    ``slow_traced_runs`` traced runs, if given)."""
+    traced_runs = []
+
+    def run(obs):
+        traced = obs is not None and obs.tracer.enabled
+        if traced:
+            traced_runs.append(obs)
+        slow = traced and (slow_traced_runs is None
+                           or len(traced_runs) <= slow_traced_runs)
+        end = time.perf_counter() + 0.05 * (traced_factor if slow else 1)
+        while time.perf_counter() < end:
+            pass
+        return {"events": 100.0}
+
+    return run
+
+
+class TestObsCheck:
+    def test_traced_slowdown_fails(self, tmp_path, monkeypatch):
+        code, check = _stub_check(monkeypatch, tmp_path, _busy_wait(1.3))
+        assert code == 1
+        assert check["overhead_pct"] > 10.0
+        assert check["events_match"] is True
+        # Every round re-read the over-threshold reading.
+        assert check["pairs"] == 2 * runner_mod._OBS_CHECK_ROUNDS
+
+    def test_slow_first_round_is_confirmed_not_failed(
+        self, tmp_path, monkeypatch
+    ):
+        # Both traced runs of the first round land in a slow spell;
+        # the confirming round shows tracing itself costs nothing.
+        code, check = _stub_check(
+            monkeypatch, tmp_path, _busy_wait(1.3, slow_traced_runs=2)
+        )
+        assert code == 0, check
+        assert check["pairs"] == 4
+
+    def test_equal_cost_passes(self, tmp_path, monkeypatch):
+        code, check = _stub_check(monkeypatch, tmp_path, _busy_wait(1.0))
+        assert code == 0, check
+        assert check["overhead_pct"] <= 10.0
+        assert check["pairs"] == 2
+
+    def test_equal_samples_in_alternating_pairs(self, tmp_path, monkeypatch):
+        bundles = []
+        equal_cost = _busy_wait(1.0)
+
+        def run(obs):
+            bundles.append(obs)
+            return equal_cost(obs)
+
+        _stub_check(monkeypatch, tmp_path, run, repeat=3)
+        # Three timed runs, then three pairs whose leading side flips;
+        # every traced run gets a bundle of its own.
+        traced = [b is not None and b.tracer.enabled for b in bundles]
+        assert traced == [False] * 3 + [False, True, True, False,
+                                        False, True]
+        assert len({id(b) for b in bundles if b is not None}) == 3
+
+    def test_traced_event_drift_fails(self, tmp_path, monkeypatch):
+        def run(obs):
+            return {"events": 101.0 if obs is not None else 100.0}
+
+        code, check = _stub_check(monkeypatch, tmp_path, run)
+        assert code == 1
+        assert check["events_match"] is False
 
 
 class TestRegistry:

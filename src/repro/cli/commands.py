@@ -854,22 +854,19 @@ def cmd_perf(args) -> int:
 def cmd_profile(args) -> int:
     """Profile the dispatch loop over perf scenarios; print the hot
     table (per-handler count, cumulative wall-clock, share)."""
-    from ..obs import default_observability
     from ..obs.profile import PROFILE_SCHEMA_VERSION
     from ..perf import SCENARIOS
 
     names = args.scenario or ["fig6"]
+    # One recorder across every world the scenarios build.
     obs = _make_obs(args, profile=True)
-    # Scenarios construct their systems internally; the process-wide
-    # default hands every Simulation they build this recorder.
-    with default_observability(obs):
-        for name in names:
-            log.info("profiling scenario %s", name)
-            work = SCENARIOS[name].run()
-            print(
-                f"[profile] {name}: {SCENARIOS[name].description} "
-                f"({int(work.get('events', 0))} events)"
-            )
+    for name in names:
+        log.info("profiling scenario %s", name)
+        work = SCENARIOS[name].run(obs)
+        print(
+            f"[profile] {name}: {SCENARIOS[name].description} "
+            f"({int(work.get('events', 0))} events)"
+        )
     print()
     print(obs.profiler.table(top=args.top))
     if args.json_out is not None:

@@ -16,11 +16,13 @@ What makes this exact rather than approximate:
   monotonic event sequence counter, so ``advance(t1); save; load;
   advance(t2)`` replays the *same events with the same draws* as a
   straight ``advance(t2)``;
-* the only state the graph cannot reach — process-global id counters
-  kept as class attributes (``Transfer._ids``, ``Job._ids``, ...) —
-  is captured alongside the root and reassigned on load, so ids
-  allocated after a resume continue where the snapshot left off
-  instead of colliding with pre-snapshot ones;
+* every id stream lives on the object that issues the ids — job and
+  attempt ids on the JobTracker, block ids on the NameNode — so the
+  counters pickle with their owners and ids allocated after a resume
+  continue where the snapshot left off.  Nothing outside the root is
+  captured or patched, so restoring a snapshot cannot disturb any other
+  world in the process, and a resumed world may run alongside fresh
+  ones;
 * every long-lived callback in the tree (engine events, transfer
   completions, cluster lifecycle listeners, queue estimators) is a
   bound method or a :func:`functools.partial` of one — never a local
@@ -33,60 +35,26 @@ journal makes *metadata* durable against NameNode crashes inside a
 run; a snapshot makes the *whole world* durable against process exits
 between runs.  A snapshot taken with journalling on simply carries the
 in-memory journal records with it.
-
-Restoring counters is process-global (they are class attributes), so
-interleaving a resumed run with unrelated fresh systems in the same
-process is not supported — the CLI resume path is one world per
-process, which is also the sweep runner's execution model.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import pickle
-from typing import Any, BinaryIO, Dict, Union
+from typing import Any, BinaryIO, Union
 
 from ..errors import SnapshotError
 
-#: Bump on any incompatible change to the payload layout.
-SNAPSHOT_VERSION = 1
+#: Bump on any incompatible change to the payload layout.  Version 1
+#: also carried process-global id counters beside the root.
+SNAPSHOT_VERSION = 2
 
 _MAGIC = b"REPROSNAP\n"
 
 
-def _counter_classes() -> Dict[str, type]:
-    """The class-attribute id counters a pickled instance graph misses.
-
-    Imported lazily: this module sits in ``core`` and must not create
-    import cycles with the layers it snapshots.
-    """
-    from ..dfs.client import WriteOp
-    from ..dfs.types import BlockInfo
-    from ..mapreduce.job import Job
-    from ..mapreduce.task import TaskAttempt
-    from ..net.base import Transfer
-
-    return {
-        "net.Transfer": Transfer,
-        "mapreduce.TaskAttempt": TaskAttempt,
-        "mapreduce.Job": Job,
-        "dfs.WriteOp": WriteOp,
-        "dfs.BlockInfo": BlockInfo,
-    }
-
-
 def snapshot_bytes(root: Any) -> bytes:
-    """Serialize ``root`` plus the global id counters to bytes."""
-    payload = {
-        "version": SNAPSHOT_VERSION,
-        "root": root,
-        # itertools.count pickles with its current value, so the
-        # counters restore mid-sequence for free.
-        "counters": {
-            name: cls._ids for name, cls in _counter_classes().items()
-        },
-    }
+    """Serialize ``root`` to bytes."""
+    payload = {"version": SNAPSHOT_VERSION, "root": root}
     try:
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
@@ -99,7 +67,7 @@ def snapshot_bytes(root: Any) -> bytes:
 
 
 def restore_bytes(data: bytes) -> Any:
-    """Inverse of :func:`snapshot_bytes`: reinstate counters, return root."""
+    """Inverse of :func:`snapshot_bytes`: return the root."""
     if not data.startswith(_MAGIC):
         raise SnapshotError("not a repro snapshot (bad magic)")
     try:
@@ -114,25 +82,8 @@ def restore_bytes(data: bytes) -> Any:
             f"snapshot version {version} is not supported "
             f"(this build reads version {SNAPSHOT_VERSION})"
         )
-    # Validate the whole envelope before touching any process-global
-    # counter: a rejected snapshot must leave this process as it was.
     if "root" not in payload:
         raise SnapshotError("corrupt snapshot: envelope has no root")
-    counters = payload.get("counters")
-    if not isinstance(counters, dict):
-        raise SnapshotError(
-            "corrupt snapshot: envelope counters missing or not a mapping"
-        )
-    classes = _counter_classes()
-    for name, counter in counters.items():
-        if name not in classes:
-            raise SnapshotError(f"snapshot carries unknown counter {name!r}")
-        if not isinstance(counter, itertools.count):
-            raise SnapshotError(
-                f"corrupt snapshot: counter {name!r} is not an id counter"
-            )
-    for name, counter in counters.items():
-        classes[name]._ids = counter
     return payload["root"]
 
 

@@ -16,7 +16,6 @@ the timeout penalty hibernation exists to avoid (IV-C).
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 from typing import Callable, List, Optional
 
@@ -31,8 +30,6 @@ OnError = Callable[[Exception], None]
 class WriteOp:
     """State machine driving one file write through its blocks."""
 
-    _ids = itertools.count()
-
     def __init__(
         self,
         client: "DfsClient",
@@ -41,7 +38,6 @@ class WriteOp:
         on_complete: OnDone,
         on_fail: OnError,
     ) -> None:
-        self.id = next(WriteOp._ids)
         self.client = client
         self.file = file
         self.client_node = client_node

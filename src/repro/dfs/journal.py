@@ -9,11 +9,13 @@ records (``add`` / ``drop`` / ``want``) group-commit every
 ``fsync_interval`` records, so a crash loses at most the unsynced tail
 — exactly the window datanode block reports win back during recovery.
 
-Records identify blocks by the run-stable ``(path, index)`` pair, never
-the numeric ``block_id``: the id stream is process-global (see
-``BlockInfo._ids``), while the label survives checkpoints, failovers
-and process boundaries (the byte-identical-golden guarantee rides on
-it).
+Records identify blocks by the stable ``(path, index)`` pair, never
+the numeric ``block_id``.  Block ids are issued per world by the
+NameNode, so they are unique within a run and pickle with it, but they
+are not stable across failover: a standby that rebuilds the namespace
+from a checkpoint issues fresh ids.  The label is the same on every
+NameNode that replays the journal (the byte-identical-golden guarantee
+rides on it).
 
 :class:`NamespaceImage` is the pure replay state machine: a canonical,
 object-graph-free view of the namespace, replica maps and

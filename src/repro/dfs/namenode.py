@@ -78,6 +78,9 @@ class NameNode:
 
         self._files: Dict[str, FileInfo] = {}
         self._blocks: Dict[int, BlockInfo] = {}
+        #: Block id stream: ids are unique within this world (a fresh
+        #: standby issues new ones), and it pickles with the NameNode.
+        self._block_counter = itertools.count()
         self._infos: Dict[int, DataNodeInfo] = {}
         self._states: Dict[int, NodeState] = {}
         for node in cluster.nodes:
@@ -252,7 +255,7 @@ class NameNode:
         )
         file = FileInfo(path, kind, rf, self.sim.now)
         for index, size in enumerate(sizes):
-            block = BlockInfo(file, index, size)
+            block = BlockInfo(next(self._block_counter), file, index, size)
             file.blocks.append(block)
             self._blocks[block.block_id] = block
         self._files[file.path] = file
@@ -758,9 +761,9 @@ class NameNode:
         self.counters["replication_mb"] += block.size_mb
         issued_at = self.sim.now
         tracer = self.sim.obs.tracer
-        # Trace label: path#index, not the numeric block id — the id
-        # stream is process-global, the path is run-stable (the
-        # byte-identical-trace guarantee rides on it).
+        # Trace label: path#index, not the numeric block id — the
+        # label is what journal records use too, and it survives a
+        # failover that re-issues ids.
         block_label = block.label
 
         def done(_t) -> None:
@@ -879,7 +882,9 @@ class NameNode:
                     fimg["created_at"],
                 )
                 for index, size in enumerate(fimg["sizes"]):
-                    block = BlockInfo(file, index, size)
+                    block = BlockInfo(
+                        next(self._block_counter), file, index, size
+                    )
                     file.blocks.append(block)
                     self._blocks[block.block_id] = block
                 self._files[file.path] = file

@@ -9,7 +9,6 @@ Paper Section IV: the replication factor of a file is the pair
 from __future__ import annotations
 
 import enum
-import itertools
 import sys
 from typing import Dict, List, NamedTuple, Optional, Set
 
@@ -62,12 +61,13 @@ class BlockInfo:
         "dedicated_replicas",
     )
 
-    _ids = itertools.count()
-
-    def __init__(self, file: "FileInfo", index: int, size_mb: float) -> None:
+    def __init__(
+        self, block_id: int, file: "FileInfo", index: int, size_mb: float
+    ) -> None:
         if size_mb < 0:
             raise DfsError("negative block size")
-        self.block_id = next(BlockInfo._ids)
+        #: Issued by the owning NameNode (unique within its world).
+        self.block_id = block_id
         self.file = file
         self.index = index
         self.size_mb = size_mb
@@ -83,10 +83,11 @@ class BlockInfo:
 
     @property
     def label(self) -> str:
-        """Run-stable identity ``path#index`` — unlike ``block_id``
-        (process-global counter), the label survives checkpoints,
-        failovers and process boundaries; traces and journal records
-        use it exclusively."""
+        """Stable identity ``path#index``: unlike ``block_id`` (issued
+        per world by the NameNode, and new when a fresh standby rebuilds
+        the namespace), the label survives failovers and reads the same
+        in every run of the namespace; traces and journal records use
+        it exclusively."""
         return f"{self.file.path}#{self.index}"
 
     def has_dedicated_replica(self) -> bool:
@@ -156,9 +157,9 @@ class DataNodeInfo:
 
     ``blocks`` is an insertion-ordered dict of block ids, not a set:
     the NameNode's node-state sweeps iterate it and the order feeds
-    the replication queue.  An int set would iterate in *value* order,
-    tying behaviour to the global block-id counter (and therefore to
-    whatever else ran earlier in the process).
+    the replication queue.  An int set would iterate in an order
+    derived from the id values, tying behaviour to them rather than to
+    the order the replicas arrived in.
     """
 
     __slots__ = ("node_id", "is_dedicated", "capacity_mb", "used_mb", "blocks")

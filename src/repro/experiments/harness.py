@@ -19,6 +19,7 @@ import numpy as np
 from ..config import SchedulerConfig, SystemConfig
 from ..core import JobResult, MoonSystem, hadoop_system, moon_system
 from ..dfs import ReplicationFactor
+from ..obs import Observability
 from ..workloads import JobSpec
 from .scale import Scale, system_config
 
@@ -59,9 +60,12 @@ def run_job_once(
     spec: JobSpec,
     hadoop_mode: bool,
     time_limit: float,
+    obs: Optional[Observability],
 ) -> Tuple[JobResult, MoonSystem]:
-    """Build one batch-job world, run ``spec`` on it, stop its daemons."""
-    system = hadoop_system(cfg) if hadoop_mode else moon_system(cfg)
+    """Build one batch-job world observed by ``obs``, run ``spec`` on
+    it, stop its daemons."""
+    build = hadoop_system if hadoop_mode else moon_system
+    system = build(cfg, obs=obs)
     result = system.run_job(spec, time_limit=time_limit)
     system.jobtracker.stop()
     system.namenode.stop()
@@ -90,7 +94,7 @@ def run_cell(
             n_dedicated=n_dedicated, network_model=network_model,
         )
         result, _system = run_job_once(
-            cfg, spec, hadoop_mode, scale.time_limit
+            cfg, spec, hadoop_mode, scale.time_limit, None
         )
         results.append(result)
     _cache[key] = results

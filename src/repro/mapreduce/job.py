@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import Counter
 from typing import List, Optional
 
@@ -23,13 +22,12 @@ class JobState(enum.Enum):
 class Job:
     """One submitted MapReduce job."""
 
-    _ids = itertools.count()
-
-    def __init__(self, spec: JobSpec, priority: int = 0) -> None:
+    def __init__(self, job_id: str, spec: JobSpec, priority: int = 0) -> None:
         spec.validate()
         self.spec = spec
         self.priority = priority
-        self.job_id = f"job{next(Job._ids)}"
+        #: Issued by the owning JobTracker (unique within its world).
+        self.job_id = job_id
         self.state = JobState.PENDING
         #: live PENDING-task counts, maintained by Task.state (the
         #: scheduler's has-pending probe runs once per free slot).

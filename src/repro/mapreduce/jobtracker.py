@@ -14,6 +14,7 @@ for work.  Failure handling implements both generations of behaviour:
 
 from __future__ import annotations
 
+import itertools
 from functools import partial
 from typing import Dict, List, Optional
 
@@ -116,6 +117,9 @@ class JobTracker:
         #: Monotone submission counter (equals ``len(self.jobs)`` until
         #: :meth:`release` starts forgetting finished jobs).
         self._submit_seq = 0
+        #: Attempt id stream: ids are unique within this world, and
+        #: pickle with it.  Job ids are ``job<submit seq>``.
+        self._attempt_counter = itertools.count()
         #: Opt-in for week-long streams: the service layer calls
         #: :meth:`release` after reaping so memory tracks the in-flight
         #: window, not the job history.
@@ -159,7 +163,7 @@ class JobTracker:
     # Submission
     # ==================================================================
     def submit(self, spec: JobSpec, priority: int = 0) -> Job:
-        job = Job(spec, priority)
+        job = Job(f"job{self._submit_seq}", spec, priority)
         job.submitted_at = self.sim.now
         job.state = JobState.RUNNING
 
@@ -423,6 +427,7 @@ class JobTracker:
         else:
             cause = task.requeue_cause or "failure"
         attempt = TaskAttempt(
+            next(self._attempt_counter),
             task,
             tracker.node_id,
             self.sim.now,

@@ -10,7 +10,6 @@ that they may come back, so they are flagged rather than killed
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -55,8 +54,6 @@ class TaskState(enum.Enum):
 class TaskAttempt:
     """One execution of a task on a specific node."""
 
-    _ids = itertools.count()
-
     __slots__ = (
         "attempt_id",
         "task",
@@ -76,10 +73,11 @@ class TaskAttempt:
     )
 
     def __init__(
-        self, task: "Task", node_id: int, now: float,
+        self, attempt_id: int, task: "Task", node_id: int, now: float,
         is_speculative: bool, on_dedicated: bool,
     ) -> None:
-        self.attempt_id = next(TaskAttempt._ids)
+        #: Issued by the owning JobTracker (unique within its world).
+        self.attempt_id = attempt_id
         self.task = task
         self.node_id = node_id
         self.is_speculative = is_speculative

@@ -15,7 +15,6 @@ callbacks without reentrancy surprises.
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, Optional
 
@@ -35,7 +34,6 @@ class Transfer:
     """Handle for one in-flight copy."""
 
     __slots__ = (
-        "id",
         "src",
         "dst",
         "size_mb",
@@ -47,8 +45,6 @@ class Transfer:
         "on_fail",
         "_event",
     )
-
-    _ids = itertools.count()
 
     PENDING = "pending"
     DONE = "done"
@@ -64,7 +60,6 @@ class Transfer:
         on_complete: Optional[OnComplete],
         on_fail: Optional[OnFail],
     ) -> None:
-        self.id = next(Transfer._ids)
         self.src = src
         self.dst = dst
         self.size_mb = size_mb
@@ -87,7 +82,7 @@ class Transfer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Transfer#{self.id} {self.kind} {self.src}->{self.dst} "
+            f"<Transfer {self.kind} {self.src}->{self.dst} "
             f"{self.size_mb:.2f}MB {self.state}>"
         )
 

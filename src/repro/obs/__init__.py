@@ -20,7 +20,7 @@ an uninstrumented build (same event checksums, same goldens); with it
 on, the sim clock and RNG streams are never perturbed — only recorded.
 """
 
-from .config import ObsConfig, Observability, current_default, default_observability
+from .config import ObsConfig, Observability
 from .explain import (
     BLAME_CATEGORIES,
     Divergence,
@@ -52,8 +52,6 @@ from .trace import (
 __all__ = [
     "ObsConfig",
     "Observability",
-    "current_default",
-    "default_observability",
     "MetricsRegistry",
     "Counter",
     "Gauge",

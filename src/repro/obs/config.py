@@ -17,19 +17,17 @@ The bundle is deliberately asymmetric:
 * ``profiler`` is ``None`` unless profiling is on — the engine selects
   a timed dispatch path only when it exists.
 
-:func:`default_observability` is a context manager that installs a
-process-wide default picked up by every :class:`Simulation` created
-without an explicit ``obs=``; it exists so the perf harness and
-``repro profile`` can arm instrumentation inside scenario factories
-they do not control.
+There is no ambient default: a bundle reaches a world only by being
+passed to it (``Simulation(obs=...)``, ``moon_system(cfg, obs=...)``,
+a perf scenario's ``run(obs)``), and a world built without one gets a
+fresh all-off bundle of its own.
 """
 
 from __future__ import annotations
 
-import contextlib
 import logging
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from .metrics import MetricsRegistry
 from .profile import DispatchProfiler
@@ -96,30 +94,3 @@ class Observability:
             self.metrics.write_json(self.config.metrics_out)
             written.append(self.config.metrics_out)
         return written
-
-
-#: Process-wide default installed by :func:`default_observability`.
-_DEFAULT: Optional[Observability] = None
-
-
-def current_default() -> Optional[Observability]:
-    """The ambient :class:`Observability`, or ``None`` when unset."""
-    return _DEFAULT
-
-
-@contextlib.contextmanager
-def default_observability(obs: Observability) -> Iterator[Observability]:
-    """Install ``obs`` as the default for simulations built inside.
-
-    Used by the perf harness and ``repro profile`` to instrument
-    scenario factories without changing their signatures.  Restores
-    the previous default on exit; not thread-safe (the simulator is
-    single-threaded by design).
-    """
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = obs
-    try:
-        yield obs
-    finally:
-        _DEFAULT = previous

@@ -13,12 +13,14 @@ Sources are interchangeable: a live :class:`~repro.obs.trace.Tracer`
 offline consumer of the flight recorder, never a participant in the
 simulation.
 
-Identifier discipline: process-global id streams (``job12``,
-attempt 473) are not stable across in-process reruns, so every label
-this layer *renders* is run-local — the service ``seq`` when the job
-came through the queue, the submit-order ``index`` otherwise, and
-task labels with the job prefix stripped (``m3``, ``r1``).  Raw ids
-stay available on the graph for joining back to the trace.
+Identifier discipline: job and attempt ids (``job12``, attempt 473)
+are issued per world by its JobTracker, so they are unique within one
+world's trace and key its graphs here.  They are bookkeeping, not what
+a user reads: every label this layer *renders* is the one the rest of
+the run's output uses — the service ``seq`` when the job came through
+the queue, the submit-order ``index`` otherwise, and task labels with
+the job prefix stripped (``m3``, ``r1``).  Raw ids stay available on
+the graph for joining back to the trace.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ class JobGraph:
 
     @property
     def label(self) -> str:
-        """Run-local display label (never a process-global id)."""
+        """Display label: the service seq, else the submit index."""
         return f"seq{self.seq}" if self.seq is not None else f"job#{self.index}"
 
     @property

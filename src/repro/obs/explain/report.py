@@ -4,9 +4,8 @@
 :class:`RunExplanation` out — per-job blame, run-local aggregation by
 tenant and workload class, and deterministic text tables.  Everything
 rendered here uses run-local labels only (service seq / submit index),
-so the output is byte-identical across processes regardless of what
-ran earlier in the same interpreter (process-global id streams never
-leak into reports).
+the identities the service report and its audit tables print too, so
+a job reads the same in every artifact of a run.
 """
 
 from __future__ import annotations

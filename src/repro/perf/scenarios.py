@@ -24,6 +24,7 @@ from ..config import ClusterConfig, SchedulerConfig, SystemConfig, TraceConfig
 from ..dfs import ReplicationFactor
 from ..experiments.harness import hadoop_policy, moon_policy, run_job_once
 from ..experiments.scale import Scale, sort_at
+from ..obs import Observability
 from ..workloads import JobSpec
 
 #: The scale every scenario runs at (the benchmarks' reduced scale,
@@ -64,16 +65,18 @@ def _cell_config(
 
 
 def _run_cells(
-    cells: List[Tuple[JobSpec, float, SchedulerConfig, bool, Optional[int], str]]
+    cells: List[Tuple[JobSpec, float, SchedulerConfig, bool, Optional[int], str]],
+    obs: Optional[Observability],
 ) -> Dict[str, float]:
-    """Run (spec, rate, sched, hadoop_mode, n_dedicated, net) cells."""
+    """Run (spec, rate, sched, hadoop_mode, n_dedicated, net) cells,
+    each world observed by ``obs``."""
     events = 0
     jobs_done = 0
     sim_seconds = 0.0
     for spec, rate, sched, hadoop_mode, n_ded, net in cells:
         cfg = _cell_config(rate, sched, n_dedicated=n_ded, network_model=net)
         result, system = run_job_once(
-            cfg, spec, hadoop_mode, PERF_SCALE.time_limit
+            cfg, spec, hadoop_mode, PERF_SCALE.time_limit, obs
         )
         events += system.sim.executed_events
         sim_seconds += system.sim.now
@@ -89,7 +92,7 @@ def _run_cells(
 # ----------------------------------------------------------------------
 # Scenario bodies
 # ----------------------------------------------------------------------
-def _fig6_slice() -> Dict[str, float]:
+def _fig6_slice(obs: Optional[Observability]) -> Dict[str, float]:
     """Fig. 6 pipeline slice: sort under HA-V1 and VO-V1 at rate 0.5.
 
     The two intermediate-replication extremes exercise the shuffle
@@ -104,11 +107,12 @@ def _fig6_slice() -> Dict[str, float]:
         [
             (spec(_rf(1, 1)), 0.5, moon_policy(True), False, None, "fifo"),
             (spec(_rf(0, 1)), 0.5, moon_policy(True), False, None, "fifo"),
-        ]
+        ],
+        obs,
     )
 
 
-def _fig7_slice() -> Dict[str, float]:
+def _fig7_slice(obs: Optional[Observability]) -> Dict[str, float]:
     """Fig. 7 pipeline slice: Hadoop-VO vs MOON-Hybrid D6 at rate 0.5.
 
     The Hadoop-VO cell (six uniform replicas) floods the DFS layers;
@@ -125,7 +129,8 @@ def _fig7_slice() -> Dict[str, float]:
         [
             (hadoop_spec, 0.5, hadoop_policy(1), True, None, "fifo"),
             (moon_spec, 0.5, moon_policy(True), False, 6, "fifo"),
-        ]
+        ],
+        obs,
     )
 
 
@@ -160,12 +165,12 @@ _BURSTY_2K = dict(
 )
 
 
-def _serve(spec, **counters) -> Dict[str, float]:
-    """Run ``spec``; the common work counters plus ``counters``, each a
-    function of (report, service)."""
+def _serve(spec, obs: Optional[Observability], **counters) -> Dict[str, float]:
+    """Run ``spec`` observed by ``obs``; the common work counters plus
+    ``counters``, each a function of (report, service)."""
     from ..service.world import run
 
-    report, service = run(spec)
+    report, service = run(spec, obs)
     work = {
         "events": float(service.sim.executed_events),
         "jobs_done": float(report.overall.completed),
@@ -184,16 +189,16 @@ def _metric(name: str):
     )
 
 
-def _service_2k() -> Dict[str, float]:
+def _service_2k(obs: Optional[Observability]) -> Dict[str, float]:
     """2k-job service stream: Poisson arrivals on the sleep catalog.
 
     ~2000 arrivals over an 8-hour horizon through admission control,
     the EDF queue and the full task machinery underneath.
     """
-    return _serve(_service2k_spec())
+    return _serve(_service2k_spec(), obs)
 
 
-def _autoscale_2k() -> Dict[str, float]:
+def _autoscale_2k(obs: Optional[Observability]) -> Dict[str, float]:
     """2k-job bursty stream with the reactive provisioning controller.
 
     Exercises the dynamic-membership machinery end to end: control
@@ -217,12 +222,13 @@ def _autoscale_2k() -> Dict[str, float]:
             ),
             arrivals=SyntheticArrivals(**_BURSTY_2K),
         ),
+        obs,
         scale_actions=lambda report, _s: len(report.scale_events),
         node_hours=lambda report, _s: report.node_hours,
     )
 
 
-def _replay_2k() -> Dict[str, float]:
+def _replay_2k(obs: Optional[Observability]) -> Dict[str, float]:
     """2k-job trace replay: the full workload-trace pipeline, timed.
 
     Synthesizes a ~2000-job stream from the bundled Hadoop-style
@@ -256,11 +262,12 @@ def _replay_2k() -> Dict[str, float]:
             arrivals=TraceArrivals(
                 tuple(trace_arrivals(trace)), pattern=trace.pattern
             ),
-        )
+        ),
+        obs,
     )
 
 
-def _preempt_2k() -> Dict[str, float]:
+def _preempt_2k(obs: Optional[Observability]) -> Dict[str, float]:
     """2k-job bursty stream under SLO-aware pause preemption.
 
     The same admission/queue/task stack as ``service2k`` with the
@@ -283,12 +290,13 @@ def _preempt_2k() -> Dict[str, float]:
             ),
             arrivals=SyntheticArrivals(**_BURSTY_2K),
         ),
+        obs,
         preempt_actions=lambda report, _s: len(report.preempt_events),
         pauses=lambda report, _s: report.preempt_counts["pause"],
     )
 
 
-def _detect_2k() -> Dict[str, float]:
+def _detect_2k(obs: Optional[Observability]) -> Dict[str, float]:
     """2k-job service stream judged by the adaptive honest detector.
 
     The same admission/queue/task stack as ``service2k``, but node
@@ -308,13 +316,14 @@ def _detect_2k() -> Dict[str, float]:
                 base.system, detector=DetectorConfig(mode="adaptive")
             ),
         ),
+        obs,
         trips=_metric("detector/trips"),
         false_positives=_metric("detector/false_positives"),
         requeues=_metric("detector/suspicion_requeues"),
     )
 
 
-def _recover_2k() -> Dict[str, float]:
+def _recover_2k(obs: Optional[Observability]) -> Dict[str, float]:
     """2k-job service stream with the journal on and a mid-stream
     NameNode crash.
 
@@ -336,6 +345,7 @@ def _recover_2k() -> Dict[str, float]:
         replace(
             base, system=replace(base.system, dfs=DfsConfig(journal=journal))
         ),
+        obs,
         journal_records=_metric("dfs/journal_records"),
         checkpoints=_metric("dfs/checkpoints"),
         replicas_recovered=_metric("dfs/replicas_recovered"),
@@ -346,9 +356,11 @@ def scale_stream(
     n_nodes: int = 10000,
     jobs_per_hour: float = 41667.0,
     hours: float = 24.0,
+    obs: Optional[Observability] = None,
 ) -> Dict[str, float]:
     """Service-scale stress: an ``n_nodes``-node cluster serving a
-    day-long Poisson stream (defaults: 10k nodes, ~1M jobs over 24h).
+    day-long Poisson stream (defaults: 10k nodes, ~1M jobs over 24h),
+    observed by ``obs``.
 
     This is the engine-scale-out checksum: the dispatch loop, the
     vectorised arrival sampler, the candidacy-indexed assignment walk
@@ -394,7 +406,8 @@ def scale_stream(
             trace=TraceConfig(unavailability_rate=0.3),
             scheduler=sched,
             seed=PERF_SCALE.seeds[0],
-        )
+        ),
+        obs=obs,
     )
     spec = replace(
         sleep_spec(12.0, 4.0, n_maps=1, n_reduces=1),
@@ -431,11 +444,11 @@ def scale_stream(
     }
 
 
-def _scale10k() -> Dict[str, float]:
-    return scale_stream()
+def _scale10k(obs: Optional[Observability]) -> Dict[str, float]:
+    return scale_stream(obs=obs)
 
 
-def _fairshare_sort() -> Dict[str, float]:
+def _fairshare_sort(obs: Optional[Observability]) -> Dict[str, float]:
     """Max-min fair-share network under a data-heavy sort at rate 0.3.
 
     Dominated by water-filling recomputation on every flow start and
@@ -448,17 +461,21 @@ def _fairshare_sort() -> Dict[str, float]:
         intermediate_rf=_rf(1, 1),
     )
     return _run_cells(
-        [(spec, 0.3, moon_policy(True), False, None, "fairshare")]
+        [(spec, 0.3, moon_policy(True), False, None, "fairshare")], obs
     )
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named macro-scenario of the perf harness."""
+    """One named macro-scenario of the perf harness.
+
+    ``run(obs)`` builds every world of the scenario with the given
+    observability bundle (``None``: each world gets an all-off one).
+    """
 
     name: str
     description: str
-    run: Callable[[], Dict[str, float]]
+    run: Callable[[Optional[Observability]], Dict[str, float]]
 
 
 SCENARIOS: Dict[str, Scenario] = {

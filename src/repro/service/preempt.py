@@ -117,9 +117,8 @@ class PreemptEvent:
 
     def row(self) -> list:
         # Rendered identity is the service-local admission seq, not
-        # the job id: job ids carry a process-global counter, and the
-        # audit table must be byte-identical run over run (the
-        # fast-lane determinism smoke replays it twice in-process).
+        # the job id: the seq is what the service report, its other
+        # audit tables and the explainer print for a job.
         return [
             f"{self.time:.0f}",
             self.action,

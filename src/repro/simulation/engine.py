@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import SimulationError
-from ..obs import Observability, current_default
+from ..obs import Observability
 from .event import Event, EventQueue
 from .rng import RngRegistry
 
@@ -53,15 +53,11 @@ class Simulation:
         self._rng = RngRegistry(seed)
         self._running = False
         self._executed = 0
-        #: Observability bundle (tracer/metrics/profiler) — falls back
-        #: to the ambient default installed by
-        #: :func:`repro.obs.default_observability`, else a fresh
-        #: all-off bundle.  Instrumented components reach it via
-        #: ``sim.obs``; with everything off the dispatch loop is
-        #: untouched.
-        if obs is None:
-            obs = current_default() or Observability()
-        self.obs = obs
+        #: Observability bundle (tracer/metrics/profiler) — the one
+        #: passed in, else a fresh all-off bundle of this world's own.
+        #: Instrumented components reach it via ``sim.obs``; with
+        #: everything off the dispatch loop is untouched.
+        self.obs = obs if obs is not None else Observability()
         #: Optional trace hook ``fn(time, event)`` for debugging.
         self.trace_hook: Optional[Callable[[float, Event], None]] = None
 

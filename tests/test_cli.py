@@ -501,10 +501,10 @@ class TestObsFlags:
         from repro.perf import SCENARIOS
         from repro.perf.scenarios import Scenario
 
-        def fake_run():
+        def fake_run(obs):
             from repro.simulation import Simulation
 
-            sim = Simulation(seed=1)
+            sim = Simulation(seed=1, obs=obs)
             for t in range(5):
                 sim.call_at(float(t), lambda: None)
             sim.run()

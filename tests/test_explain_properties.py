@@ -15,7 +15,6 @@ Also pinned here: two identical seeded runs always diff clean through
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from hypothesis import HealthCheck, given, settings
@@ -137,17 +136,6 @@ class TestBlameConservation:
             assert abs(total_attributed - total_response) < 1e-6
 
 
-def _rewound_id_streams():
-    """Rewind process-global id streams so an in-process rerun is
-    equivalent to a second CLI invocation (the case the byte-identity
-    guarantee is stated for)."""
-    from repro.mapreduce.job import Job
-    from repro.mapreduce.task import TaskAttempt
-
-    Job._ids = itertools.count()
-    TaskAttempt._ids = itertools.count()
-
-
 class TestIdenticalRunsDiffClean:
     @settings(
         max_examples=5,
@@ -180,7 +168,6 @@ class TestIdenticalRunsDiffClean:
         }
         paths = []
         for i in range(2):
-            _rewound_id_streams()
             report, obs = _run_scenario(sc)
             trace_path = tmp / f"{seed}-{rate}-{i}.trace.json"
             metrics_path = tmp / f"{seed}-{rate}-{i}.metrics.json"

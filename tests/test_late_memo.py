@@ -76,11 +76,8 @@ def _run(traces, use_reference, n_maps=10, until=1500.0):
     original_launch = jt.launch
 
     def recording_launch(task, tracker, speculative):
-        # strip the job id: the global Job counter differs between the
-        # two runs, but task identity within the job must match
         assignments.append(
-            (sim.now, task.task_id.split("-", 1)[1], tracker.node_id,
-             speculative)
+            (sim.now, task.task_id, tracker.node_id, speculative)
         )
         return original_launch(task, tracker, speculative)
 

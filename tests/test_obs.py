@@ -25,8 +25,6 @@ from repro.obs import (
     Observability,
     ObsConfig,
     Tracer,
-    current_default,
-    default_observability,
 )
 from repro.simulation import Simulation
 
@@ -215,11 +213,11 @@ class TestObservabilityWiring:
         for p in written:
             json.loads(open(p, encoding="utf-8").read())
 
-    def test_default_observability_scoped(self):
-        assert current_default() is None
-        obs = Observability()
-        with default_observability(obs):
-            assert current_default() is obs
-            sim = Simulation(seed=1)
-            assert sim.obs is obs
-        assert current_default() is None
+    def test_simulation_without_obs_gets_its_own_bundle(self):
+        # No ambient default: a bundle reaches a world only by being
+        # passed in, and every other world gets a fresh all-off one.
+        obs = Observability(ObsConfig(trace=True))
+        assert Simulation(seed=1, obs=obs).obs is obs
+        a, b = Simulation(seed=1), Simulation(seed=1)
+        assert a.obs is not b.obs
+        assert not a.obs.tracer.enabled and a.obs.profiler is None

@@ -110,29 +110,10 @@ class TestObsOnNeverPerturbs:
         assert obs.profiler.total_events == on_events
 
 
-def _fresh_id_streams():
-    """Rewind the process-global job/attempt id streams.
-
-    Job and attempt ids (which also name DFS block paths) come from
-    module-level counters: two runs in ONE process see different ids,
-    while two CLI invocations each start from zero.  Rewinding here
-    makes the in-process rerun equivalent to the cross-process case
-    the byte-identity guarantee is stated for.
-    """
-    import itertools
-
-    from repro.mapreduce.job import Job
-    from repro.mapreduce.task import TaskAttempt
-
-    Job._ids = itertools.count()
-    TaskAttempt._ids = itertools.count()
-
-
 class TestTraceDeterminism:
     def test_seeded_reruns_write_identical_trace_bytes(self, tmp_path):
         blobs = []
         for i in range(2):
-            _fresh_id_streams()
             obs = Observability(ObsConfig(trace=True))
             _run(obs=obs)
             path = tmp_path / f"run{i}.trace.json"

@@ -521,8 +521,7 @@ class TestServicePreemption:
         r1 = self._run("pause")
         r2 = self._run("pause")
         assert r1.render() == r2.render()
-        # job_id carries a process-global counter; the stable identity
-        # across runs is the record's admission sequence.
+        # The audit identity is the record's admission sequence.
         assert [
             (e.time, e.action, e.record_seq) for e in r1.preempt_events
         ] == [(e.time, e.action, e.record_seq) for e in r2.preempt_events]
