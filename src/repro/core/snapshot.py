@@ -45,9 +45,8 @@ from typing import Any, BinaryIO, Union
 
 from ..errors import SnapshotError
 
-#: Bump on any incompatible change to the payload layout.  Version 1
-#: also carried process-global id counters beside the root.
-SNAPSHOT_VERSION = 2
+#: Bump on any incompatible change to the payload layout.
+SNAPSHOT_VERSION = 3
 
 _MAGIC = b"REPROSNAP\n"
 

@@ -192,9 +192,6 @@ class NameNode:
     def info(self, node_id: int) -> DataNodeInfo:
         return self._infos[node_id]
 
-    def dedicated_infos(self) -> Iterable[DataNodeInfo]:
-        return (self._infos[n.node_id] for n in self.cluster.dedicated)
-
     def volatile_infos(self) -> Iterable[DataNodeInfo]:
         return (self._infos[n.node_id] for n in self.cluster.volatile)
 

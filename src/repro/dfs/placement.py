@@ -28,6 +28,10 @@ from .availability import required_volatile_replicas
 from .types import BlockInfo, DataNodeInfo, FileInfo, FileKind
 
 
+def _load_key(info: DataNodeInfo) -> tuple:
+    return (info.used_mb, info.node_id)
+
+
 @dataclass
 class WritePlan:
     """Ordered pipeline targets for one block write."""
@@ -143,25 +147,27 @@ class PlacementPolicy:
         require_unthrottled: bool,
         size: float,
     ) -> List[int]:
+        # Runs on every output write: lookups are bound once, not per
+        # dedicated node.
         nn = self.namenode
+        info_of = nn.info
+        servable = nn.node_is_servable
+        throttled = nn.throttle.is_throttled if require_unthrottled else None
         candidates: List[DataNodeInfo] = []
-        for info in nn.dedicated_infos():
-            if info.node_id in excluded:
+        for node in nn.cluster.dedicated:
+            node_id = node.node_id
+            if node_id in excluded or not servable(node_id):
                 continue
-            if not nn.node_is_servable(info.node_id):
+            if throttled is not None and throttled(node_id):
                 continue
-            if require_unthrottled and nn.throttle.is_throttled(info.node_id):
-                continue
-            if not info.has_room(size):
-                continue
-            candidates.append(info)
+            info = info_of(node_id)
+            if info.has_room(size):
+                candidates.append(info)
         # Least-loaded first, node-id tiebreak.  nsmallest(k) returns
         # exactly sorted(...)[:k] for any key (the tiebreak makes the
         # order total), at O(n log k) instead of O(n log n) — writes
         # typically want one dedicated replica from a sizeable tier.
-        picked = heapq.nsmallest(
-            count, candidates, key=lambda i: (i.used_mb, i.node_id)
-        )
+        picked = heapq.nsmallest(count, candidates, key=_load_key)
         return [c.node_id for c in picked]
 
     def _pick_volatile(

@@ -660,9 +660,12 @@ class JobTracker:
     def _tracker_suspected(self, node: Node) -> None:
         tracker = self.trackers[node.node_id]
         tracker.mark_suspected()
-        for job in self.running_jobs():
-            job.counters["tracker_suspensions"] += 1
-            break
+        # Charge the first running job (``running_jobs()[0]``) without
+        # building the whole list per suspicion.
+        for job in self._active_jobs:
+            if not job.finished:
+                job.counters["tracker_suspensions"] += 1
+                break
         # Snippet 3 Policy B: suspect first, requeue only once the node
         # has stayed suspect past the grace window.  Oracle observers
         # never requeue on suspicion (suspension is then known-true and

@@ -66,6 +66,16 @@ class AvailabilityTrace:
 
     # ------------------------------------------------------------------
     @property
+    def starts(self) -> Tuple[float, ...]:
+        """Outage start times, ascending (no :class:`Interval` built)."""
+        return self._starts
+
+    @property
+    def ends(self) -> Tuple[float, ...]:
+        """Outage end times, ascending; ``ends[i]`` closes ``starts[i]``."""
+        return self._ends
+
+    @property
     def intervals(self) -> Tuple[Interval, ...]:
         return tuple(Interval(s, e) for s, e in zip(self._starts, self._ends))
 

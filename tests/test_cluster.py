@@ -120,8 +120,12 @@ class TestMonitor:
 
     def test_traceless_node_never_transitions(self, sim):
         c = Cluster([make_node(0)])
-        mon = AvailabilityMonitor(sim, c)
-        assert mon.scheduled_transitions == 0
+        log = []
+        c.on_suspend(lambda n: log.append("down"))
+        AvailabilityMonitor(sim, c)
+        assert sim.pending_events() == 0
+        sim.run()
+        assert log == [] and sim.executed_events == 0
 
 
 class TestFailureDetector:

@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -332,11 +333,19 @@ class TestEnvelope:
     def test_version_1_envelope_rejected_naming_both_versions(self):
         # Version 1 carried process-global id counters beside the root;
         # this build has none to restore and must not guess.
-        assert SNAPSHOT_VERSION == 2
+        assert SNAPSHOT_VERSION == 3
         with pytest.raises(
-            SnapshotError, match="version 1 .*reads version 2"
+            SnapshotError, match="version 1 .*reads version 3"
         ):
             restore_bytes(_envelope(version=1, counters={}))
+
+    def test_version_2_envelope_rejected_by_name(self):
+        # Version 2 worlds queued every trace transition up front; their
+        # monitor has no cursor to continue from.
+        with pytest.raises(
+            SnapshotError, match="version 2 .*reads version 3"
+        ):
+            restore_bytes(_envelope(version=2))
 
     def test_envelope_without_root_rejected(self):
         with pytest.raises(SnapshotError, match="root"):
@@ -445,3 +454,75 @@ class TestIsolation:
             for s, o in worlds
         ]
         assert together == solo
+
+
+class _TransitionLog:
+    """Trace hook recording each monitor transition as it dispatches."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, now, event):
+        kind = getattr(event.fn, "__name__", "")
+        if kind in ("_suspend", "_resume"):
+            self.seen.append((now, event.args[0].node_id, kind))
+
+
+class TestMonitorCursorSnapshot:
+    """The availability monitor's cursor pickles with the world."""
+
+    def _world(self):
+        from repro.cluster import Cluster, Node, NodeKind
+        from repro.config import NodeSpec
+        from repro.core import MoonSystem
+        from repro.traces import generate_trace
+
+        # 240 nodes with sparse ids (3, 10, 17, ...); one-hour traces
+        # with short outages so a 20-minute run crosses many of them.
+        traces = TraceConfig(
+            unavailability_rate=0.3, mean_outage=60.0, outage_sigma=60.0,
+            min_outage=5.0, duration=1800.0,
+        )
+        nodes = []
+        for i in range(240):
+            node_id = 3 + 7 * i
+            if i < 4:
+                nodes.append(Node(node_id, NodeKind.DEDICATED, NodeSpec()))
+            else:
+                trace = generate_trace(traces, np.random.default_rng(i))
+                nodes.append(
+                    Node(node_id, NodeKind.VOLATILE, NodeSpec(), trace)
+                )
+        config = SystemConfig(
+            cluster=ClusterConfig(
+                n_volatile=236, n_dedicated=4, heartbeat_interval=30.0
+            ),
+            scheduler=moon_scheduler_config(),
+            seed=5,
+        )
+        system = MoonSystem(config, cluster=Cluster(nodes))
+        system.submit(sleep_spec(30.0, 10.0, n_maps=40, n_reduces=4))
+        return system
+
+    def test_resume_between_transitions_replays_the_rest(self):
+        system = self._world()
+        times = sorted(
+            {t for n in system.cluster.volatile
+             for t in n.trace.starts + n.trace.ends}
+        )
+        mid = len(times) // 2
+        cut = (times[mid] + times[mid + 1]) / 2
+        end = 1200.0
+        assert times[0] < cut < end
+        system.sim.run(until=cut)
+        resumed = roundtrip(system)
+        logs = []
+        for world in (system, resumed):
+            log = _TransitionLog()
+            world.sim.trace_hook = log
+            world.sim.run(until=end)
+            logs.append((log.seen, world.sim.executed_events))
+        straight, after_resume = logs
+        assert straight[0], "no transition between the cut and the end"
+        assert straight[0][0][0] > cut
+        assert after_resume == straight
